@@ -1,11 +1,11 @@
-"""Benchmark the sharded, vectorized analysis core against the serial path.
+"""Benchmark the sharded analysis core and the Figure 6 cache sweep.
 
-Four measurements on the same pmake trace: the full postprocessing pass
-(serial vs sharded) and the Figure 6 cache sweep (scalar vs
-vectorized+pooled). The serial numbers are the denominators of the
-speedup the sharded core exists for; both variants are asserted
-result-identical before timing, so a benchmark can never "win" by
-drifting from the reference output.
+Three measurements on the same pmake trace: the full postprocessing
+pass (serial vs sharded) and the Figure 6 sweep. The serial analysis is
+the denominator of the speedup the sharded core exists for; the sharded
+analysis and the sweep are asserted identical to their scalar
+references before timing, so a benchmark can never "win" by drifting
+from the reference output.
 
 ``REPRO_BENCH_SHARDS`` (default 4) sets the shard count.
 """
@@ -17,8 +17,7 @@ import os
 import pytest
 
 from repro.analysis.report import analyze_trace
-from repro.analysis.sweeps import simulate_icache_sweep
-from repro.sim.sharded import simulate_icache_sweep_sharded
+from repro.analysis.sweeps import _scalar_icache_config, simulate_icache_sweep
 
 SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "4"))
 
@@ -61,19 +60,13 @@ def test_bench_analysis_sharded(benchmark, pmake_run):
     assert report.analysis == serial  # identical or the timing is void
 
 
-def test_bench_sweep_serial(benchmark, imiss_stream):
-    points = benchmark.pedantic(
-        simulate_icache_sweep, args=(imiss_stream, 4), rounds=1, iterations=1
+def test_bench_sweep(benchmark, imiss_stream):
+    points = simulate_icache_sweep(imiss_stream, 4)
+    assert points == [
+        _scalar_icache_config(imiss_stream, 4, p.size_bytes, p.associativity)
+        for p in points
+    ]  # identical or the timing is void
+    benchmark.pedantic(
+        simulate_icache_sweep, args=(imiss_stream, 4), rounds=5, iterations=1
     )
     benchmark.extra_info["stream_entries"] = len(imiss_stream)
-    assert points
-
-
-def test_bench_sweep_sharded(benchmark, imiss_stream):
-    serial = simulate_icache_sweep(imiss_stream, 4)
-    points = benchmark.pedantic(
-        simulate_icache_sweep_sharded, args=(imiss_stream, 4),
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info["stream_entries"] = len(imiss_stream)
-    assert points == serial  # identical or the timing is void

@@ -23,14 +23,6 @@ SIZES = (64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024)
 
 def sweep_workload(ctx: ExperimentContext, workload: str) -> List[SweepPoint]:
     analysis = ctx.report(workload).analysis
-    if getattr(ctx.settings, "shards", 1) > 1:
-        # Identical grid, vectorized DM replay + pooled associative
-        # configurations (see repro.sim.sharded).
-        from repro.sim.sharded import simulate_icache_sweep_sharded
-
-        return simulate_icache_sweep_sharded(
-            analysis.imiss_stream, analysis.num_cpus, sizes=SIZES
-        )
     return simulate_icache_sweep(
         analysis.imiss_stream, analysis.num_cpus, sizes=SIZES
     )

@@ -23,8 +23,8 @@ def set_index(block, num_sets):
     """The set ``block`` maps to.
 
     Shared by :class:`Cache` and the vectorized Figure 6 replay in
-    :mod:`repro.sim.sharded` (it works elementwise on numpy arrays), so
-    the two can never disagree about the mapping.
+    :mod:`repro.analysis.sweeps` (it works elementwise on numpy arrays),
+    so the two can never disagree about the mapping.
     """
     return block % num_sets
 

@@ -1,11 +1,9 @@
-"""Sharded, vectorized trace analysis: the raw-speed core.
+"""Sharded trace analysis, bit-exact against the serial path.
 
-Two independent accelerations, both bit-exact against the serial path:
-
-**Sharded analysis** (:func:`sharded_analysis`). The postprocessor is a
-sequential decoder — escape state, reconstructed cache contents and the
-frame-typing map all carry across every entry — so the trace cannot be
-split naively. Instead a serial *scout* pass (a ``state_only``
+The postprocessor is a sequential decoder — escape state, reconstructed
+cache contents and the frame-typing map all carry across every entry —
+so :func:`sharded_analysis` cannot split the trace naively. Instead a
+serial *scout* pass (a ``state_only``
 :class:`~repro.analysis.decode.TraceAnalyzer`, which maintains all
 decoder state but skips every windowed statistic) sweeps the stream once
 and checkpoints the full inter-entry state at each shard boundary. Each
@@ -30,16 +28,6 @@ Splice rules that make the merge byte-identical to serial:
   every time span is accounted exactly once, in the chunk whose entry
   triggers the accounting.
 
-**Vectorized Figure 6 sweep** (:func:`vector_icache_config`,
-:func:`simulate_icache_sweep_sharded`). The direct-mapped what-if
-replays reduce to array operations: a DM set always holds the last
-block that touched it, so misses fall out of one ``lexsort`` over
-(cpu, flush epoch, set) runs, and the Inval floor falls out of an
-event-adjacency pass — a miss is an Inval miss exactly when the
-previous event for its (cpu, block) is a flush-invalidation rather
-than another miss. Associative configurations keep the exact scalar
-LRU replay but fan out one configuration per pool worker.
-
 The shard count never changes any output, so it is excluded from run
 and exhibit cache keys (see ``RunSettings.cache_repr``): identical
 output ⇒ identical cache entry.
@@ -53,22 +41,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.decode import (
     MONITOR_FIELDS,
     AnalyzerState,
     TraceAnalysis,
     TraceAnalyzer,
 )
-from repro.analysis.sweeps import (
-    FLUSH_CPU,
-    StreamEntry,
-    SweepPoint,
-    simulate_icache_config,
-    sweep_configs,
-)
-from repro.memsys.cache import set_index
 from repro.sanitizers.seams import SeamRecord, verify_seams
 
 _ENV_SHARDS = "REPRO_SHARDS"
@@ -421,230 +399,3 @@ def sharded_analysis(
     )
     return merged
 
-
-# ----------------------------------------------------------------------
-# Vectorized Figure 6 replay
-# ----------------------------------------------------------------------
-@dataclass
-class PackedStream:
-    """The I-miss stream as column arrays, flush markers separated out."""
-
-    pos: np.ndarray       # original row index of each access
-    cpu: np.ndarray
-    block: np.ndarray
-    epoch: np.ndarray     # number of flushes before the access
-    is_os: np.ndarray     # bool
-    in_window: np.ndarray  # bool
-    flush_pos: np.ndarray  # row index of each flush marker, in order
-
-    def __len__(self) -> int:
-        return len(self.pos)
-
-
-def pack_imiss_stream(stream: Sequence[StreamEntry]) -> PackedStream:
-    """Batch ``(cpu, block, is_os, in_window)`` tuples into arrays."""
-    table = np.asarray(stream, dtype=np.int64).reshape(-1, 4)
-    flush = table[:, 0] == FLUSH_CPU
-    epoch_all = np.cumsum(flush)
-    access = ~flush
-    return PackedStream(
-        pos=np.flatnonzero(access),
-        cpu=table[access, 0],
-        block=table[access, 1],
-        # At access rows flush==0, so the inclusive cumsum equals the
-        # number of flushes strictly before the row.
-        epoch=epoch_all[access],
-        is_os=table[access, 2].astype(bool),
-        in_window=table[access, 3].astype(bool),
-        flush_pos=np.flatnonzero(flush),
-    )
-
-
-def vector_icache_config(
-    packed: PackedStream,
-    size_bytes: int,
-    block_bytes: int = 16,
-    associativity: int = 1,
-) -> SweepPoint:
-    """Exact replay of one configuration, vectorized (1- or 2-way).
-
-    Equivalent to :func:`simulate_icache_config`:
-
-    - an LRU set holds the last ``associativity`` *distinct* blocks
-      that touched it, so within each (cpu, epoch, set) run sequence a
-      direct-mapped access misses iff the previous access touched a
-      different block, and a 2-way access misses iff the block differs
-      from both the previous access and the last distinct block before
-      the previous access's run (found via run-start indices — one
-      ``maximum.accumulate``, no per-reference loop);
-    - the Inval floor follows from event adjacency: flushes emit an
-      invalidation event for each block resident at the flush (the last
-      one or two distinct blocks of every terminated (cpu, epoch, set)
-      sequence), misses emit a miss event, and a miss is an Inval miss
-      iff the nearest previous event for its (cpu, block) is an
-      invalidation — any intervening miss refilled the block and
-      cleared its invalidated-set membership, exactly the scalar
-      ``invalidated[cpu].discard(block)``.
-    """
-    if associativity not in (1, 2):
-        raise ValueError(
-            f"vectorized replay supports associativity 1 or 2, "
-            f"got {associativity}"
-        )
-    n = len(packed)
-    if n == 0:
-        return SweepPoint(size_bytes, associativity, 0, 0, 0)
-    num_sets = size_bytes // (block_bytes * associativity)
-    sets = set_index(packed.block, num_sets)
-
-    # Miss detection over (cpu, epoch, set) sequences ordered by position.
-    order = np.lexsort((packed.pos, sets, packed.epoch, packed.cpu))
-    cpu_s = packed.cpu[order]
-    epoch_s = packed.epoch[order]
-    set_s = sets[order]
-    block_s = packed.block[order]
-    idx = np.arange(n)
-    same_group = (
-        (cpu_s[1:] == cpu_s[:-1])
-        & (epoch_s[1:] == epoch_s[:-1])
-        & (set_s[1:] == set_s[:-1])
-    )
-    same_block = np.zeros(n, dtype=bool)
-    same_block[1:] = same_group & (block_s[1:] == block_s[:-1])
-    # Start index of each position's run (maximal same-group same-block
-    # stretch) and of its group.
-    run_start = np.maximum.accumulate(np.where(~same_block, idx, 0))
-    new_group = np.ones(n, dtype=bool)
-    new_group[1:] = ~same_group
-    group_start = np.maximum.accumulate(np.where(new_group, idx, 0))
-
-    hit_s = same_block.copy()
-    if associativity == 2:
-        # The set also holds the last distinct block before the previous
-        # access's run: position run_start[i-1] - 1, when still in-group.
-        prev_prev = run_start[:-1] - 1
-        second_valid = same_group & (prev_prev >= group_start[1:])
-        hit_s[1:] |= second_valid & (
-            block_s[1:] == block_s[np.maximum(prev_prev, 0)]
-        )
-    miss = np.zeros(n, dtype=bool)
-    miss[order] = ~hit_s
-
-    # Residency at each flush: the last one (DM) or two (2-way) distinct
-    # blocks of every terminated (cpu, epoch, set) sequence.
-    last_in_group = np.ones(n, dtype=bool)
-    last_in_group[:-1] = ~same_group
-    num_flushes = len(packed.flush_pos)
-    resident = np.flatnonzero(last_in_group & (epoch_s < num_flushes))
-    if associativity == 2:
-        runner_up = run_start[resident] - 1
-        runner_up = runner_up[runner_up >= group_start[resident]]
-        resident = np.concatenate([resident, runner_up])
-
-    # Event streams keyed by (cpu, block, position): invalidations at
-    # their flush position, misses at their access position.
-    inv_cpu = cpu_s[resident]
-    inv_block = block_s[resident]
-    inv_pos = packed.flush_pos[epoch_s[resident]]
-    miss_idx = np.flatnonzero(miss)  # indices into the access arrays
-    ev_cpu = np.concatenate([inv_cpu, packed.cpu[miss_idx]])
-    ev_block = np.concatenate([inv_block, packed.block[miss_idx]])
-    ev_pos = np.concatenate([inv_pos, packed.pos[miss_idx]])
-    ev_is_inv = np.zeros(len(ev_cpu), dtype=bool)
-    ev_is_inv[: len(inv_cpu)] = True
-    ev_src = np.concatenate(
-        [np.full(len(inv_cpu), -1, dtype=np.int64), miss_idx]
-    )
-
-    ev_order = np.lexsort((ev_pos, ev_block, ev_cpu))
-    ev_cpu = ev_cpu[ev_order]
-    ev_block = ev_block[ev_order]
-    ev_is_inv = ev_is_inv[ev_order]
-    ev_src = ev_src[ev_order]
-    follows_inv = np.zeros(len(ev_cpu), dtype=bool)
-    follows_inv[1:] = (
-        (ev_cpu[1:] == ev_cpu[:-1])
-        & (ev_block[1:] == ev_block[:-1])
-        & ev_is_inv[:-1]
-    )
-    inval = np.zeros(n, dtype=bool)
-    hits_from_inv = ~ev_is_inv & follows_inv
-    inval[ev_src[hits_from_inv]] = True
-
-    counted = miss & packed.in_window
-    os_counted = counted & packed.is_os
-    return SweepPoint(
-        size_bytes,
-        associativity,
-        int(np.count_nonzero(os_counted)),
-        int(np.count_nonzero(os_counted & inval)),
-        int(np.count_nonzero(counted & ~packed.is_os)),
-    )
-
-
-# ----------------------------------------------------------------------
-# Sweep workers: one associative configuration per pool task, the
-# stream shipped once per worker through the initializer.
-# ----------------------------------------------------------------------
-_sweep_input: Optional[Tuple[Sequence[StreamEntry], int, int]] = None
-
-
-def _init_sweep_worker(stream, num_cpus, block_bytes) -> None:
-    global _sweep_input
-    _sweep_input = (stream, num_cpus, block_bytes)
-
-
-def _sweep_one_config(job) -> SweepPoint:
-    size_bytes, associativity = job
-    assert _sweep_input is not None, "worker used without initializer"
-    stream, num_cpus, block_bytes = _sweep_input
-    return simulate_icache_config(
-        stream, num_cpus, size_bytes, associativity, block_bytes
-    )
-
-
-def simulate_icache_sweep_sharded(
-    stream: Sequence[StreamEntry],
-    num_cpus: int,
-    sizes=(64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024),
-    associativities=(1, 2),
-    block_bytes: int = 16,
-    use_pool: Optional[bool] = None,
-) -> List[SweepPoint]:
-    """The Figure 6 grid, accelerated; identical to the serial sweep.
-
-    1- and 2-way points replay vectorized in-process — the per-reference
-    Python loop is gone entirely, which is where the long-horizon
-    speedup comes from. Higher associativities (not in the default
-    grid) keep the exact scalar LRU replay, fanned out one
-    configuration per pool worker.
-    """
-    configs = sweep_configs(sizes, associativities)
-    scalar_configs = [(s, a) for s, a in configs if a not in (1, 2)]
-    if use_pool is None:
-        use_pool = (
-            len(scalar_configs) > 1
-            and (os.cpu_count() or 1) > 1
-            and not multiprocessing.current_process().daemon
-        )
-    points: Dict[Tuple[int, int], SweepPoint] = {}
-    if use_pool and scalar_configs:
-        with multiprocessing.Pool(
-            processes=min(len(scalar_configs), os.cpu_count() or 1),
-            initializer=_init_sweep_worker,
-            initargs=(stream, num_cpus, block_bytes),
-        ) as pool:
-            for point in pool.map(_sweep_one_config, scalar_configs, chunksize=1):
-                points[(point.size_bytes, point.associativity)] = point
-    else:
-        for size, assoc in scalar_configs:
-            points[(size, assoc)] = simulate_icache_config(
-                stream, num_cpus, size, assoc, block_bytes
-            )
-    packed = pack_imiss_stream(stream)
-    for size, assoc in configs:
-        if assoc in (1, 2):
-            points[(size, assoc)] = vector_icache_config(
-                packed, size, block_bytes, assoc
-            )
-    return [points[config] for config in configs]

@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.analysis import sweeps
 from repro.analysis.report import analyze_trace
 from repro.analysis.sweeps import (
     FLUSH_CPU,
+    _scalar_icache_config,
     simulate_icache_config,
     simulate_icache_sweep,
+    sweep_configs,
 )
+from repro.api import ExperimentContext, RunSettings
+from repro.experiments import figure6
+from repro.experiments.registry import run_experiment
+from repro.sim.runcache import RunCache
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +83,46 @@ class TestFlushHandling:
         stream = [(0, 100, True, False), (0, 100, True, True)]
         point = simulate_icache_config(stream, 1, 1024 * 1024, 1)
         assert point.os_misses == 0  # second access hits the warm line
+
+
+class TestDispatch:
+    def test_sweep_matches_scalar_in_canonical_order(self, stream):
+        """1- and 2-way points replay vectorized, 4-way falls back to the
+        scalar loop; every point equals the scalar reference, in grid
+        order."""
+        associativities = (1, 2, 4)
+        sizes = (64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024)
+        expected = [
+            _scalar_icache_config(stream, 4, size, assoc)
+            for size, assoc in sweep_configs(sizes, associativities)
+        ]
+        assert simulate_icache_sweep(
+            stream, 4, associativities=associativities
+        ) == expected
+
+    def test_figure6_rows_match_scalar_replay(self, monkeypatch):
+        """The exhibit built on the default dispatch equals the exhibit
+        built with every configuration forced through the scalar loop."""
+        ctx = ExperimentContext(
+            RunSettings(horizon_ms=20.0, warmup_ms=50.0, seed=3),
+            cache=RunCache(),
+        )
+        ctx.cache_exhibits = False
+        rows = run_experiment("figure6", ctx).rows
+
+        def scalar(packed, num_cpus, size_bytes, associativity=1, block_bytes=16):
+            return _scalar_icache_config(
+                packed.entries, num_cpus, size_bytes, associativity, block_bytes
+            )
+
+        monkeypatch.setattr(sweeps, "simulate_icache_config", scalar)
+        assert figure6.build(ctx).rows == rows
+
+
+class TestValidation:
+    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    @pytest.mark.parametrize("cpu", [4, -2])
+    def test_cpu_outside_machine_rejected(self, cpu, assoc):
+        stream = [(0, 100, True, True), (cpu, 200, True, True)]
+        with pytest.raises(ValueError, match=f"cpu {cpu}"):
+            simulate_icache_config(stream, 4, 256 * 1024, assoc)
