@@ -4,7 +4,7 @@ The same entry point as the ``repro`` / ``repro-experiments`` console
 scripts, for checkouts that run via ``PYTHONPATH=src`` without
 installing the package::
 
-    python -m repro run scaling --machine cpus16 --shards 2 --check
+    python -m repro run scaling --machine cpus16 --check
 """
 
 import sys

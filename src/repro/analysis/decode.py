@@ -24,7 +24,6 @@ reconstruction, mirroring the paper's tracing of a long-running system.
 
 from __future__ import annotations
 
-import pickle
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -165,36 +164,6 @@ class TraceAnalysis:
         return self.user_ticks + self.sys_ticks
 
 
-# The cumulative full-trace transaction counters carried by every
-# checkpoint; the sharded seam crosscheck sums per-chunk counters and
-# compares against these.
-MONITOR_FIELDS = (
-    "monitor_instr_reads",
-    "monitor_data_reads",
-    "monitor_writes",
-    "monitor_uncached",
-)
-
-
-@dataclass
-class AnalyzerState:
-    """Resumable decoder state at a trace-entry boundary.
-
-    Everything the analyzer carries *between* entries lives here: the
-    per-CPU escape-decoder state (including half-decoded multi-payload
-    escapes), the reconstructed cache contents, and the physical-frame
-    typing map. ``monitor_counters`` additionally records the cumulative
-    bus-transaction counts up to ``entry_index`` so shard seams can be
-    cross-checked against the per-chunk sums.
-    """
-
-    entry_index: int
-    cpus: List["_CpuState"]
-    recons: List[CpuReconstruction]
-    frame_is_text: Dict[int, bool]
-    monitor_counters: Dict[str, int]
-
-
 class _CpuState:
     """Decoder state for one CPU."""
 
@@ -251,19 +220,11 @@ class TraceAnalyzer:
         datamap: Optional[KernelDataMap] = None,
         block_bytes: int = 16,
         keep_imiss_stream: bool = True,
-        state_only: bool = False,
-        stats_from_tick: int = 0,
     ):
         self.layout = layout if layout is not None else KernelLayout()
         self.datamap = datamap if datamap is not None else KernelDataMap()
         self.block_bytes = block_bytes
-        # ``state_only`` analyzers are the sharded scout pass: they drive
-        # the reconstruction and escape decoding (everything a checkpoint
-        # must capture) but skip every windowed statistic, including the
-        # imiss stream. Monitor transaction counters stay on — they are
-        # cheap and feed the seam crosscheck.
-        self.stats = not state_only
-        self.keep_imiss_stream = keep_imiss_stream and self.stats
+        self.keep_imiss_stream = keep_imiss_stream
         self.result = TraceAnalysis(workload, num_cpus)
         self._cpus = [_CpuState() for _ in range(num_cpus)]
         self._recons = [
@@ -271,63 +232,29 @@ class TraceAnalyzer:
             for _ in range(num_cpus)
         ]
         self._frame_is_text: Dict[int, bool] = {}
-        self._window_start = stats_from_tick
-        self._end_tick = 0
+        self._window_start = 0
 
     # ------------------------------------------------------------------
     def analyze(self, trace: Trace, stats_from_tick: int = 0) -> TraceAnalysis:
         self._window_start = stats_from_tick
+        end_tick = 0
         for segment in trace.segments:
             self.feed(segment.entries)
-            self._end_tick = max(self._end_tick, segment.end_cycles // 2)
-        return self.finish(self._end_tick)
+            end_tick = max(end_tick, segment.end_cycles // 2)
+        # Flush each CPU's trailing time and close the window.
+        for cpu_state in self._cpus:
+            self._account_time(cpu_state, end_tick)
+        self.result.measured_ticks = max(0, end_tick - self._window_start)
+        return self.result
 
-    # ------------------------------------------------------------------
-    # Incremental driving (the sharded core's entry points)
-    # ------------------------------------------------------------------
     def feed(self, entries) -> None:
-        """Process a run of trace entries without finalizing."""
+        """Process one segment's trace entries (a method of its own so
+        per-layer profiling can time the decode loop apart from set-up)."""
         for entry in entries:
             if entry[3] == OP_UNCACHED:
                 self._escape(entry)
             else:
                 self._reference(entry)
-
-    def finish(self, end_tick: int) -> TraceAnalysis:
-        """Flush trailing time and close the analysis at ``end_tick``."""
-        self._end_tick = max(self._end_tick, end_tick)
-        for cpu_state in self._cpus:
-            self._account_time(cpu_state, self._end_tick)
-        self.result.measured_ticks = max(0, self._end_tick - self._window_start)
-        return self.result
-
-    def snapshot(self, entry_index: int) -> AnalyzerState:
-        """Checkpoint the full inter-entry state at ``entry_index``.
-
-        Copies go through pickle rather than ``copy.deepcopy`` — the
-        states cross a process boundary pickled anyway, and the
-        round-trip is several times faster on the reconstruction maps.
-        """
-        return AnalyzerState(
-            entry_index=entry_index,
-            cpus=pickle.loads(pickle.dumps(self._cpus, -1)),
-            recons=pickle.loads(pickle.dumps(self._recons, -1)),
-            frame_is_text=dict(self._frame_is_text),
-            monitor_counters={
-                name: getattr(self.result, name) for name in MONITOR_FIELDS
-            },
-        )
-
-    def restore(self, state: AnalyzerState) -> None:
-        """Adopt a checkpoint's decoder state.
-
-        Statistics are *not* restored: a restored analyzer accumulates
-        per-chunk counts from zero so shard results can be summed (and
-        seam-checked against the checkpoint cumulatives).
-        """
-        self._cpus = pickle.loads(pickle.dumps(state.cpus, -1))
-        self._recons = pickle.loads(pickle.dumps(state.recons, -1))
-        self._frame_is_text = dict(state.frame_is_text)
 
     def seed_seam(self, seam_state: Optional[list]) -> None:
         """Adopt a mixed-fidelity run's warm-state dump
@@ -362,7 +289,7 @@ class TraceAnalyzer:
     def _account_time(self, cpu_state: _CpuState, now_tick: int) -> None:
         start = max(cpu_state.last_tick, self._window_start)
         span = now_tick - start
-        if span > 0 and self.stats:
+        if span > 0:
             if cpu_state.state == "user":
                 self.result.user_ticks += span
             elif cpu_state.state == "os":
@@ -378,7 +305,7 @@ class TraceAnalyzer:
     def _escape(self, entry) -> None:
         tick, cpu, addr, _op = entry
         self.result.monitor_uncached += 1
-        if self.stats and tick >= self._window_start:
+        if tick >= self._window_start:
             self.result.escape_reads += 1
         cpu_state = self._cpus[cpu]
         pending = cpu_state.pending
@@ -408,7 +335,7 @@ class TraceAnalyzer:
             label = _op_label(payloads[0])
             cpu_state.op_stack.append(label)
             cpu_state.os_depth += 1
-            if self.stats and in_window:
+            if in_window:
                 result.op_counts[label] += 1
             if cpu_state.os_depth == 1:
                 # Close the application interval (UTLB spikes don't).
@@ -429,14 +356,14 @@ class TraceAnalyzer:
             if cpu_state.os_depth == 0:
                 started_in_window = cpu_state.inv_start >= self._window_start
                 if cpu_state.inv_is_utlb:
-                    if self.stats and started_in_window:
+                    if started_in_window:
                         result.utlb_count += 1
                         result.utlb_ticks += tick - cpu_state.inv_start
                         result.utlb_misses += (
                             cpu_state.inv_imiss + cpu_state.inv_dmiss
                         )
                 else:
-                    if self.stats and started_in_window:
+                    if started_in_window:
                         result.invocations.append(
                             OsInvocation(
                                 label,
@@ -476,21 +403,21 @@ class TraceAnalyzer:
             kind_code, _first, count = payloads
             kind = KIND_NAMES.get(kind_code, "?")
             cpu_state.blockop = kind
-            if self.stats and in_window:
+            if in_window:
                 result.blockop_log.append((kind, count * self.block_bytes))
         elif event is EventType.BLOCKOP_END:
             cpu_state.blockop = None
         elif event is EventType.INTR_ENTER:
             kind = _INTR_KINDS[payloads[0]]
             cpu_state.intr_depth += 1
-            if self.stats and in_window:
+            if in_window:
                 result.op_counts[f"intr_{kind.value}"] += 1
         elif event is EventType.INTR_EXIT:
             cpu_state.intr_depth = max(0, cpu_state.intr_depth - 1)
         # TRACE_START needs no action.
 
     def _close_app_interval(self, cpu_state: _CpuState, tick: int) -> None:
-        if self.stats and cpu_state.app_start >= self._window_start and not cpu_state.idle:
+        if cpu_state.app_start >= self._window_start and not cpu_state.idle:
             self.result.app_intervals.append(
                 AppInterval(
                     tick - cpu_state.app_start,
@@ -525,7 +452,7 @@ class TraceAnalyzer:
                     other_recon.dcache.invalidate(block)
             if recon.dcache.resident(block):
                 # Ownership upgrade, not a miss.
-                if self.stats and in_window:
+                if in_window:
                     result.upgrades += 1
                 return
         elif is_instr:
@@ -554,7 +481,7 @@ class TraceAnalyzer:
                 cpu_state.app_imiss += 1
             else:
                 cpu_state.app_dmiss += 1
-        if not (self.stats and in_window):
+        if not in_window:
             return
         result.miss_counts[(domain, kind, miss_class)] += 1
         if dispossame:

@@ -179,38 +179,25 @@ class AnalysisReport:
 def analyze_trace(
     run: "TracedRun",
     keep_imiss_stream: bool = True,
-    shards: int = 1,
 ) -> AnalysisReport:
-    """Run the full postprocessing pipeline on a traced run.
-
-    ``shards > 1`` routes through the sharded core
-    (:func:`repro.sim.sharded.sharded_analysis`), which is byte-identical
-    to the serial pass — the shard count is a wall-clock knob only.
-    """
+    """Run the full postprocessing pipeline on a traced run."""
     params = run.params
-    if shards > 1:
-        from repro.sim.sharded import sharded_analysis
-
-        analysis = sharded_analysis(
-            run, shards, keep_imiss_stream=keep_imiss_stream
-        )
-    else:
-        analyzer = TraceAnalyzer(
-            run.workload_name,
-            params.num_cpus,
-            icache_bytes=params.icache.size_bytes,
-            dcache_bytes=params.dcache_l2.size_bytes,
-            layout=run.kernel.layout,
-            datamap=run.kernel.datamap,
-            block_bytes=params.block_bytes,
-            keep_imiss_stream=keep_imiss_stream,
-        )
-        # Mixed-fidelity runs: seed the reconstruction with the
-        # simulator's warm-state dump from the atomic→detailed seam.
-        analyzer.seed_seam(getattr(run, "seam_state", None))
-        analysis = analyzer.analyze(
-            run.trace, stats_from_tick=run.measure_from_cycles // CYCLES_PER_TICK
-        )
+    analyzer = TraceAnalyzer(
+        run.workload_name,
+        params.num_cpus,
+        icache_bytes=params.icache.size_bytes,
+        dcache_bytes=params.dcache_l2.size_bytes,
+        layout=run.kernel.layout,
+        datamap=run.kernel.datamap,
+        block_bytes=params.block_bytes,
+        keep_imiss_stream=keep_imiss_stream,
+    )
+    # Mixed-fidelity runs: seed the reconstruction with the
+    # simulator's warm-state dump from the atomic→detailed seam.
+    analyzer.seed_seam(getattr(run, "seam_state", None))
+    analysis = analyzer.analyze(
+        run.trace, stats_from_tick=run.measure_from_cycles // CYCLES_PER_TICK
+    )
     check_report = getattr(run, "check_report", None)
     counters = dict(check_report.counters) if check_report else None
     return AnalysisReport(

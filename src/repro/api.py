@@ -171,8 +171,6 @@ def run(
     horizon = settings.pop("horizon_ms", defaults.horizon_ms)
     warmup = settings.pop("warmup_ms", defaults.warmup_ms)
     seed = settings.pop("seed", defaults.seed)
-    # An analysis-only knob: a traced run is shard-independent.
-    settings.pop("shards", None)
     if check:
         settings["check"] = check
     return run_traced_workload(
@@ -191,17 +189,15 @@ def report(
 
     Same keyword validation (and ``machine=`` selection) as :func:`run`;
     pass an existing :class:`TracedRun` as ``run=`` to analyze it
-    without re-simulating. ``shards=N`` parallelizes the analysis pass
-    (byte-identical output).
+    without re-simulating.
     """
-    shards = settings.pop("shards", 1)
+    _validate(settings)
     if run is None:
-        _validate(settings)
         check = settings.pop("check", False)
         run = _run(workload, check=check, machine=machine, **settings)
     elif machine is not None:
         raise TypeError("machine= selects a run; pass either run= or machine=")
-    return analyze_trace(run, shards=shards)
+    return analyze_trace(run)
 
 
 _run = run  # `report` shadows the name with its keyword argument

@@ -36,14 +36,10 @@ class RunSettings:
     # (``--check`` / ``REPRO_CHECK=1``). Part of the frozen settings so
     # exhibit cache keys (repr-based) distinguish checked runs too.
     check: bool = False
-    # Analysis shard count (``--shards`` / ``REPRO_SHARDS``). A pure
-    # wall-clock knob: the sharded core is byte-identical to serial, so
-    # this field is excluded from cache keys (see :meth:`cache_repr`).
-    shards: int = 1
     # Engine fidelity tier (``--fidelity`` / ``REPRO_FIDELITY``) and the
     # mixed tier's atomic reference budget (``--fast-forward`` /
-    # ``REPRO_FAST_FORWARD``). Unlike ``shards`` these change the run's
-    # bytes, so non-default values DO enter cache keys.
+    # ``REPRO_FAST_FORWARD``). These change the run's bytes, so
+    # non-default values enter cache keys.
     fidelity: str = "detailed"
     fast_forward: int = 0
     # Machine geometry (``--machine`` / ``--cpus`` / ``REPRO_MACHINE``):
@@ -62,24 +58,20 @@ class RunSettings:
     def cache_repr(self) -> str:
         """The repr used for exhibit cache keys.
 
-        Excludes ``shards`` (identical output ⇒ identical cache entry)
-        and reproduces the pre-``shards`` dataclass repr byte for byte,
-        so existing warm caches stay valid. Fidelity and machine fields
-        append only at non-default values — same compatibility
-        discipline, opposite reason: they change output, so they must
-        key distinctly.
+        Renders the original four-field dataclass repr byte for byte, so
+        default-settings keys never change. The fields added since
+        append only at non-default values: they change output, so they
+        must key distinctly.
         """
         extra = ""
         if self.fidelity != "detailed":
             extra += f", fidelity={self.fidelity!r}"
         if self.fast_forward:
             extra += f", fast_forward={self.fast_forward!r}"
-        machine = canonical_machine(getattr(self, "machine", DEFAULT_MACHINE))
+        machine = canonical_machine(self.machine)
         if machine != DEFAULT_MACHINE:
             extra += f", machine={machine!r}"
-        workload_args = canonical_workload_args(
-            getattr(self, "workload_args", ())
-        )
+        workload_args = canonical_workload_args(self.workload_args)
         if workload_args:
             extra += f", workload_args={workload_args!r}"
         return (
@@ -119,7 +111,7 @@ class ExperimentContext:
         self.private_runs: List[TracedRun] = []
 
     def _resolved(self, overrides: Dict):
-        """Split overrides into (horizon, warmup, seed, sim kwargs, shards).
+        """Split overrides into (horizon, warmup, seed, sim kwargs).
 
         Only :class:`RunSettings` fields may be overridden; an unknown
         key raises instead of being silently forwarded (a typo'd
@@ -136,22 +128,13 @@ class ExperimentContext:
         warmup = overrides.get("warmup_ms", self.settings.warmup_ms)
         seed = overrides.get("seed", self.settings.seed)
         check = overrides.get("check", self.settings.check)
-        shards = overrides.get("shards", getattr(self.settings, "shards", 1))
-        fidelity = overrides.get(
-            "fidelity", getattr(self.settings, "fidelity", "detailed")
-        )
-        fast_forward = overrides.get(
-            "fast_forward", getattr(self.settings, "fast_forward", 0)
-        )
+        fidelity = overrides.get("fidelity", self.settings.fidelity)
+        fast_forward = overrides.get("fast_forward", self.settings.fast_forward)
         machine = canonical_machine(
-            overrides.get(
-                "machine", getattr(self.settings, "machine", DEFAULT_MACHINE)
-            )
+            overrides.get("machine", self.settings.machine)
         )
         workload_args = canonical_workload_args(
-            overrides.get(
-                "workload_args", getattr(self.settings, "workload_args", ())
-            )
+            overrides.get("workload_args", self.settings.workload_args)
         )
         # Unchecked runs keep sim_kwargs == {} so PR-1 cache keys (and
         # the byte-identity smoke) are untouched; the same discipline
@@ -166,18 +149,14 @@ class ExperimentContext:
             sim_kwargs["machine"] = machine
         if workload_args:
             sim_kwargs["workload_args"] = workload_args
-        return horizon, warmup, seed, sim_kwargs, shards
+        return horizon, warmup, seed, sim_kwargs
 
     @staticmethod
     def _memory_key(workload: str, overrides: Dict) -> Tuple:
-        """In-memory cache key; ``shards`` is excluded because sharded
-        and serial analysis of the same run are identical objects.
-        ``workload_args`` is canonicalized so a dict and its pair-tuple
-        form key (and hash) identically."""
+        """In-memory cache key; ``workload_args`` is canonicalized so a
+        dict and its pair-tuple form key (and hash) identically."""
         items = []
         for k, v in overrides.items():
-            if k == "shards":
-                continue
             if k == "workload_args":
                 v = canonical_workload_args(v)
                 if not v:
@@ -188,10 +167,9 @@ class ExperimentContext:
     def run(self, workload: str, **overrides) -> TracedRun:
         key = self._memory_key(workload, overrides)
         if key not in self._runs:
-            horizon, warmup, seed, sim_kwargs, shards = self._resolved(overrides)
+            horizon, warmup, seed, sim_kwargs = self._resolved(overrides)
             run, report = load_or_run(
-                self.cache, workload, horizon, warmup, seed, sim_kwargs,
-                shards=shards,
+                self.cache, workload, horizon, warmup, seed, sim_kwargs
             )
             self._runs[key] = run
             if report is not None:
@@ -201,13 +179,13 @@ class ExperimentContext:
     def report(self, workload: str, **overrides) -> AnalysisReport:
         key = self._memory_key(workload, overrides)
         if key not in self._reports:
-            horizon, warmup, seed, sim_kwargs, shards = self._resolved(overrides)
+            horizon, warmup, seed, sim_kwargs = self._resolved(overrides)
             if key in self._runs:
                 # Run already in memory (possibly mid-upgrade from a
                 # report-less disk entry): analyze it and persist the
                 # completed pair.
                 run = self._runs[key]
-                report = analyze_trace(run, shards=shards)
+                report = analyze_trace(run)
                 if self.cache is not None:
                     cache_key = self.cache.run_key(
                         workload, horizon, warmup, seed, sim_kwargs
@@ -216,7 +194,7 @@ class ExperimentContext:
             else:
                 run, report = load_or_run(
                     self.cache, workload, horizon, warmup, seed, sim_kwargs,
-                    analyze=True, shards=shards,
+                    analyze=True,
                 )
                 self._runs[key] = run
             self._reports[key] = report

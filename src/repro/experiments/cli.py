@@ -21,7 +21,6 @@ from repro.fidelity import resolve_fast_forward, resolve_fidelity
 from repro.machines import MACHINES, machine_for_cpus, resolve_machine_name
 from repro.sanitizers import check_enabled_by_env, deep_check_enabled_by_env
 from repro.sim.runcache import RunCache
-from repro.sim.sharded import SHARD_STATS, resolve_shards
 from repro.workloads import parse_workload_args
 
 # argparse defaults come from the dataclass so the CLI cannot drift
@@ -44,11 +43,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs", type=int, default=parallel.default_jobs(), metavar="N",
         help="worker processes for simulations and exhibit builds "
              "(default: min(3, cpu_count))",
-    )
-    run_cmd.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shard the analysis pass across N processes; output is "
-             "byte-identical to serial (default: $REPRO_SHARDS or 1)",
     )
     run_cmd.add_argument(
         "--fidelity", choices=("detailed", "atomic", "mixed"), default=None,
@@ -126,7 +120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # processes would strand them. Checked runs are serial.
         print("[--check forces jobs=1]", file=sys.stderr)
         args.jobs = 1
-    shards = resolve_shards(args.shards)
     fidelity = resolve_fidelity(args.fidelity)
     fast_forward = resolve_fast_forward(args.fast_forward)
     try:
@@ -168,7 +161,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             warmup_ms=args.warmup_ms,
             seed=args.seed,
             check=check,
-            shards=shards,
             fidelity=fidelity,
             fast_forward=fast_forward,
             machine=machine,
@@ -207,13 +199,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print()
     print(f"[{time.time() - start:.1f}s, jobs={args.jobs}]", file=sys.stderr)
     print(cache.stats_line(), file=sys.stderr)
-    if shards > 1:
-        print(SHARD_STATS.stats_line(), file=sys.stderr)
-        # One line per shard seam, each asserting the spliced monitor
-        # counters equal the scout checkpoint; CI greps these to prove
-        # the sharded run reproduced the serial stream exactly.
-        for line in SHARD_STATS.seam_lines:
-            print(line, file=sys.stderr)
     if check:
         return _report_checks(ctx)
     return 0

@@ -17,8 +17,8 @@ server processes' stream reads/writes — the process-vs-IRQ contention
 Table 11 could not show on the paper's workloads.
 
 Rows go through ``ctx.run(workload_args=...)``, so ``--check``,
-``--shards``, ``--fidelity`` and the persistent run cache apply to every
-point, and each tuned point keys separately in the cache.
+``--fidelity`` and the persistent run cache apply to every point, and
+each tuned point keys separately in the cache.
 """
 
 from __future__ import annotations

@@ -103,7 +103,7 @@ def _simulate_base_workload_inner(task):
     run, report = load_or_run(
         cache, workload,
         settings.horizon_ms, settings.warmup_ms, settings.seed,
-        analyze=True, shards=getattr(settings, "shards", 1),
+        analyze=True,
     )
     return workload, run, report
 

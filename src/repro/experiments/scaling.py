@@ -10,9 +10,8 @@ the Table 2 SHARING (ping-pong) miss rate and the OS share of all
 misses.
 
 Rows are built through the shared :class:`ExperimentContext`, so
-``--check`` (sanitizers sized to each geometry), ``--shards`` (seam
-crosschecks intact), ``--fidelity mixed`` and the persistent run cache
-all apply to every point of the sweep.
+``--check`` (sanitizers sized to each geometry), ``--fidelity mixed``
+and the persistent run cache all apply to every point of the sweep.
 """
 
 from __future__ import annotations

@@ -19,10 +19,7 @@ Three checkers, one façade:
   tags, I-caches only invalidated by explicit software flush);
 - :class:`~repro.sanitizers.registry.CheckRegistry` — builds, installs
   and finalizes the checkers; near-zero overhead when absent (every
-  hook is a ``None``-default attribute test);
-- :mod:`~repro.sanitizers.seams` — shard-seam crosscheck for the
-  sharded analysis core: every splice boundary must reproduce the
-  serial scout pass's cumulative monitor counters exactly.
+  hook is a ``None``-default attribute test).
 
 Enable with ``Simulation(..., check=True)``, ``--check`` on the
 experiments CLI, or ``REPRO_CHECK=1`` in the environment.
@@ -34,15 +31,11 @@ from repro.sanitizers.registry import (
     deep_check_enabled_by_env,
 )
 from repro.sanitizers.report import CheckReport, Violation
-from repro.sanitizers.seams import SeamMismatch, SeamRecord, verify_seams
 
 __all__ = [
     "CheckRegistry",
     "CheckReport",
-    "SeamMismatch",
-    "SeamRecord",
     "Violation",
     "check_enabled_by_env",
     "deep_check_enabled_by_env",
-    "verify_seams",
 ]

@@ -22,7 +22,6 @@ from repro.fidelity import resolve_fast_forward, resolve_fidelity
 from repro.machines import MACHINES, resolve_machine_name
 from repro.service.app import ServiceApp, ServiceConfig
 from repro.service.server import serve
-from repro.sim.sharded import resolve_shards
 from repro.workloads import parse_workload_args
 
 _DEFAULTS = RunSettings()
@@ -38,7 +37,6 @@ def build_config(args) -> ServiceConfig:
         horizon_ms=args.horizon_ms,
         warmup_ms=args.warmup_ms,
         seed=args.seed,
-        shards=resolve_shards(args.shards),
         fidelity=resolve_fidelity(args.fidelity),
         fast_forward=resolve_fast_forward(args.fast_forward),
         machine=resolve_machine_name(args.machine),
@@ -94,11 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
              "$REPRO_BENCH_WARMUP_MS)",
     )
     parser.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shard the analysis pass in build workers; output is "
-             "byte-identical to serial (default: $REPRO_SHARDS or 1)",
-    )
     parser.add_argument(
         "--fidelity", choices=("detailed", "mixed"), default=None,
         help="default engine tier for builds; per-request override via "

@@ -135,23 +135,6 @@ class ServiceMetrics:
             "Workers currently executing a job.",
             callback=lambda: jobs.busy_workers,
         )
-        # Sharded-analysis throughput of the most recent build job that
-        # ran with shards > 1 (see repro.sim.sharded.SHARD_STATS).
-        self.shard_count = registry.gauge(
-            "repro_analysis_shards",
-            "Shard count of the most recent sharded analysis.",
-        )
-        self.shard_refs_per_sec = registry.labeled_gauge(
-            "repro_analysis_shard_refs_per_sec",
-            "Per-shard trace-entry throughput of the most recent "
-            "sharded analysis.",
-            ("shard",),
-        )
-        self.shard_total_refs_per_sec = registry.gauge(
-            "repro_analysis_total_refs_per_sec",
-            "End-to-end trace-entry throughput of the most recent "
-            "sharded analysis (scout + chunks + splice).",
-        )
         if settings is not None:
             # The configured default engine tier, Prometheus-style: one
             # gauge per tier label, 1 on the active one.
@@ -185,18 +168,6 @@ class ServiceMetrics:
                     f"repro_runcache_{name}_total", help_text,
                     callback=lambda n=name: cache.stats()[n],
                 )
-
-    def record_shard_stats(self, stats: Dict) -> None:
-        """Publish a worker's sharded-analysis throughput snapshot
-        (the :meth:`repro.sim.sharded.ShardStats.stats` dict)."""
-        shards = stats.get("shards") or []
-        self.shard_count.set(len(shards))
-        self.shard_total_refs_per_sec.set(stats.get("total_refs_per_sec", 0.0))
-        self.shard_refs_per_sec.clear()
-        for shard in shards:
-            self.shard_refs_per_sec.set(
-                shard.get("refs_per_sec", 0.0), shard=str(int(shard["shard"]))
-            )
 
 
 class ServiceApp:

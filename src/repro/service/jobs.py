@@ -118,12 +118,8 @@ def apply_fidelity(settings, fidelity: str, fast_forward: int,
 
 
 def build_exhibit_payload(exhibit_id: str, settings, cache_spec):
-    """Worker-process entry point: build one exhibit.
-
-    Returns ``(Exhibit.to_dict() payload, shard stats dict | None)``;
-    the stats come from :data:`repro.sim.sharded.SHARD_STATS` when the
-    settings run the analysis sharded, and surface in the parent's
-    ``/metrics``.
+    """Worker-process entry point: build one exhibit and return its
+    :meth:`Exhibit.to_dict` payload.
 
     Runs in a :class:`ProcessPoolExecutor` child. The context is built
     fresh per call (child processes are reused across jobs, but a
@@ -134,17 +130,13 @@ def build_exhibit_payload(exhibit_id: str, settings, cache_spec):
     from repro.experiments._base import ExperimentContext
     from repro.experiments.registry import run_experiment
     from repro.sim.runcache import RunCache
-    from repro.sim.sharded import SHARD_STATS
 
     cache = None
     if cache_spec is not None:
         cache_dir, enabled = cache_spec
         cache = RunCache(cache_dir=cache_dir, enabled=enabled)
     ctx = ExperimentContext(settings, cache=cache)
-    SHARD_STATS.reset()
-    exhibit = run_experiment(exhibit_id, ctx)
-    shard_stats = SHARD_STATS.stats() if SHARD_STATS.shards else None
-    return exhibit.to_dict(), shard_stats
+    return run_experiment(exhibit_id, ctx).to_dict()
 
 
 class JobManager:
@@ -370,13 +362,6 @@ class JobManager:
         except Exception as exc:  # build raised in the worker process
             self._finish(job, FAILED, error=f"{type(exc).__name__}: {exc}")
         else:
-            # The default runner returns (payload, shard_stats); plain
-            # payloads from injected test runners pass through as-is.
-            shard_stats = None
-            if isinstance(payload, tuple) and len(payload) == 2:
-                payload, shard_stats = payload
-            if shard_stats and self.metrics is not None:
-                self.metrics.record_shard_stats(shard_stats)
             if job.state == RUNNING:  # not cancelled mid-flight
                 job.result = payload
                 self._finish(job, DONE)

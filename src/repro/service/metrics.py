@@ -9,8 +9,8 @@ everything the server measures:
   split by label values (request paths, response codes, job outcomes);
 - :class:`Gauge` — point-in-time values (queue depth, busy workers),
   either set explicitly or read from a callback at render time;
-- :class:`LabeledGauge` — gauges split by label values (per-shard
-  analysis throughput);
+- :class:`LabeledGauge` — gauges split by label values (one series per
+  engine fidelity tier);
 - :class:`Histogram` — cumulative-bucket latency distributions with
   ``_bucket`` / ``_sum`` / ``_count`` series.
 
@@ -136,8 +136,8 @@ class LabeledGauge:
     """Point-in-time values split by label values.
 
     The plain :class:`Gauge` covers the label-less case; this covers
-    per-shard throughput and friends, where the label set is dynamic
-    (``set`` creates a series per distinct label tuple).
+    series keyed by label values (``set`` creates a series per distinct
+    label tuple).
     """
 
     kind = "gauge"
@@ -153,9 +153,6 @@ class LabeledGauge:
 
     def value(self, **labels) -> float:
         return self._values.get(self._key(labels), 0)
-
-    def clear(self) -> None:
-        self._values.clear()
 
     def _key(self, labels: Dict[str, str]) -> Tuple[str, ...]:
         if set(labels) != set(self.label_names):

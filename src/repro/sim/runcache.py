@@ -173,8 +173,8 @@ class RunCache:
         return "run-" + self._hash_material(material)
 
     def exhibit_key(self, exhibit_id: str, settings) -> str:
-        # cache_repr() excludes output-neutral knobs (the analysis shard
-        # count): identical output must map to an identical cache entry.
+        # cache_repr() keeps default-settings keys identical to the keys
+        # from before the fidelity/machine/workload-args fields existed.
         settings_repr = (
             settings.cache_repr()
             if hasattr(settings, "cache_repr")
@@ -364,15 +364,12 @@ def load_or_run(
     seed: int,
     sim_kwargs: Optional[Dict[str, Any]] = None,
     analyze: bool = False,
-    shards: int = 1,
 ):
     """Fetch ``(TracedRun, AnalysisReport|None)``, simulating on a miss.
 
     With ``analyze=True`` the analysis report is computed (and cached)
     too; a cached run whose entry predates the report request is
-    upgraded in place. ``shards`` parallelizes the analysis pass only —
-    its output (and therefore the cache key and stored entry) is
-    identical for every shard count.
+    upgraded in place.
     """
     from repro.sanitizers import check_enabled_by_env
     from repro.sim._session import Simulation
@@ -387,10 +384,10 @@ def load_or_run(
         sim_kwargs["check"] = True
     elif not sim_kwargs.get("check", False):
         sim_kwargs.pop("check", None)
-    # Fidelity is folded INTO the run key (unlike shards: the tier
-    # changes the run's bytes). The defaults normalize away so every
-    # pre-existing detailed entry stays valid, and detailed/atomic/mixed
-    # entries can never cross-reuse.
+    # Fidelity is folded into the run key (the tier changes the run's
+    # bytes). The defaults normalize away so every pre-existing detailed
+    # entry stays valid, and detailed/atomic/mixed entries can never
+    # cross-reuse.
     if sim_kwargs.get("fidelity", "detailed") == "detailed":
         sim_kwargs.pop("fidelity", None)
     if not sim_kwargs.get("fast_forward", 0):
@@ -438,7 +435,7 @@ def load_or_run(
             run, report = payload.get("run"), payload.get("report")
             if run is not None:
                 if analyze and report is None:
-                    report = _analyze(run, shards)
+                    report = _analyze(run)
                     cache.store(key, {"run": run, "report": report})
                 return run, report
     try:
@@ -472,7 +469,7 @@ def load_or_run(
                     ),
                 )
             run = sim.run(horizon_ms, warmup_ms=warmup_ms)
-        report = _analyze(run, shards) if analyze else None
+        report = _analyze(run) if analyze else None
         if cache is not None and key is not None:
             cache.store(key, {"run": run, "report": report})
     finally:
@@ -481,7 +478,7 @@ def load_or_run(
     return run, report
 
 
-def _analyze(run, shards: int = 1):
+def _analyze(run):
     from repro.analysis.report import analyze_trace
 
-    return analyze_trace(run, shards=shards)
+    return analyze_trace(run)

@@ -55,6 +55,24 @@ class TestKeywordValidation:
         with pytest.raises(TypeError, match="sede"):
             api.report("pmake", sede=3)
 
+    def test_removed_shards_knob_rejected_everywhere(self):
+        """The analysis is serial only; a leftover ``shards`` setting
+        fails loudly at every layer instead of being ignored."""
+        from repro.experiments.cli import main as cli_main
+
+        with pytest.raises(TypeError, match="'shards'"):
+            api.run("pmake", shards=2)
+        with pytest.raises(TypeError, match="'shards'"):
+            api.report("pmake", run=object(), shards=2)
+        with pytest.raises(TypeError, match="'shards'"):
+            api.exhibit("table1", shards=2)
+        with pytest.raises(TypeError, match="'shards'"):
+            ExperimentContext(RunSettings(**_SHORT)).run("pmake", shards=2)
+        with pytest.raises(TypeError, match="shards"):
+            RunSettings(shards=2)
+        with pytest.raises(SystemExit):
+            cli_main(["run", "table1", "--shards", "2"])
+
     def test_valid_settings_accepted(self):
         # Every RunSettings field spelled correctly goes through.
         run = api.run("pmake", horizon_ms=1.0, warmup_ms=5.0, seed=9)

@@ -316,18 +316,6 @@ class TestTierRuns:
         assert run.seam_state is None
         assert run.seam_cycles is None
 
-    def test_mixed_serial_and_sharded_analysis_agree(self, mixed_run):
-        """seed_seam must flow through both analysis paths."""
-        serial = analyze_trace(mixed_run, keep_imiss_stream=False)
-        sharded = analyze_trace(mixed_run, shards=2, keep_imiss_stream=False)
-        assert serial.os_miss_fraction_pct == sharded.os_miss_fraction_pct
-        for kind in ("I", "D"):
-            from repro.common.types import MissClass
-
-            for miss_class in MissClass:
-                assert serial.os_class_share_pct(kind, miss_class) == \
-                    sharded.os_class_share_pct(kind, miss_class)
-
     def test_seam_seeding_deflates_cold_class(self, mixed_run):
         """Post-seam misses on blocks the atomic warmup cached classify
         as COLD without the seam-state seed; with it they take the

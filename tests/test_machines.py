@@ -225,14 +225,14 @@ class TestContextAndCacheKeys:
 
     def test_resolved_default_machine_has_no_sim_kwargs(self):
         ctx = ExperimentContext(RunSettings())
-        *_rest, sim_kwargs, _shards = ctx._resolved({})
+        *_rest, sim_kwargs = ctx._resolved({})
         assert sim_kwargs == {}
-        *_rest, sim_kwargs, _shards = ctx._resolved({"machine": "4d340"})
+        *_rest, sim_kwargs = ctx._resolved({"machine": "4d340"})
         assert sim_kwargs == {}
 
     def test_resolved_scaled_machine(self):
         ctx = ExperimentContext(RunSettings())
-        *_rest, sim_kwargs, _shards = ctx._resolved(
+        *_rest, sim_kwargs = ctx._resolved(
             {"machine": MACHINES["cpus8"].params}
         )
         assert sim_kwargs == {"machine": "cpus8"}
@@ -368,20 +368,3 @@ class TestScalingExperiment:
         assert [row[1] for row in exhibit.rows] == [4, 8]
         # Alias and canonical id share the context cache entry.
         assert run_experiment("figure-scaling", ctx) is exhibit
-
-
-@pytest.mark.slow
-class TestShardedIdentityAt16CPUs:
-    def test_sharded_matches_serial(self):
-        """Seam crosschecks and byte-identity hold off the 4-CPU default."""
-        from repro.analysis.report import analyze_trace
-        from repro.sim.runcache import load_or_run
-
-        run, _ = load_or_run(
-            None, "multpgm", 2.0, 10.0, seed=3,
-            sim_kwargs={"machine": "cpus16"},
-        )
-        serial = analyze_trace(run, shards=1).analysis
-        sharded = analyze_trace(run, shards=2).analysis
-        for name in type(serial).__dataclass_fields__:
-            assert getattr(sharded, name) == getattr(serial, name), name

@@ -14,7 +14,7 @@ from repro.sim.runcache import (
     load_or_run,
     source_digest,
 )
-from repro.api import TracedRun
+from repro.api import RunSettings, TracedRun
 
 # Tiny windows: these tests exercise cache plumbing, not the simulator.
 HORIZON, WARMUP, SEED = 2.0, 5.0, 11
@@ -306,33 +306,20 @@ class TestClaimLock:
 
 
 class TestShardInvariance:
-    """The shard count is output-neutral, so it must never enter a key."""
-
-    def test_sharded_load_hits_serial_entry(self, cache):
-        _get(cache)  # populate with the (implicitly serial) entry
-        _get(cache, shards=4)
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_sharded_analysis_upgrade_matches_serial(self, cache):
-        _, serial = _get(cache, analyze=True)
-        _, sharded = _get(None, analyze=True, shards=2)
-        assert sharded.analysis == serial.analysis
+    """The analysis is serial only: no shard count can reach a key."""
 
     def test_exhibit_key_excludes_shards(self, cache):
-        from repro.api import RunSettings
-
+        with pytest.raises(TypeError):
+            RunSettings(shards=4)
         base = cache.exhibit_key("table1", RunSettings())
-        assert base == cache.exhibit_key("table1", RunSettings(shards=4))
-        assert base == cache.exhibit_key("table1", RunSettings(shards=16))
+        assert base == cache.exhibit_key("table1", RunSettings())
         # Output-affecting fields still invalidate.
         assert base != cache.exhibit_key("table1", RunSettings(seed=8))
+        assert base != cache.exhibit_key("table2", RunSettings())
 
     def test_cache_repr_is_byte_compatible_with_legacy_repr(self):
-        """cache_repr() must render exactly the pre-shards dataclass repr,
-        so existing on-disk exhibit entries stay valid."""
-        from repro.api import RunSettings
-
+        """cache_repr() renders exactly the original four-field dataclass
+        repr, so existing on-disk exhibit entries stay valid."""
         legacy = "RunSettings(horizon_ms=80.0, warmup_ms=500.0, seed=7, check=False)"
         assert RunSettings().cache_repr() == legacy
-        assert RunSettings(shards=8).cache_repr() == legacy
-        assert "shards" not in RunSettings(shards=3).cache_repr()
+        assert "shards" not in RunSettings.__dataclass_fields__

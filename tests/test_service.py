@@ -138,6 +138,20 @@ class TestMetrics:
         counter.inc(path='a"b\n')
         assert r'path="a\"b\n"' in registry.render()
 
+    def test_labeled_gauge_renders(self):
+        registry = MetricsRegistry()
+        gauge = registry.labeled_gauge("repro_rate", "Rate.", ("tier",))
+        assert "repro_rate" not in registry.render()  # no zero-sample default
+        gauge.set(1234, tier="atomic")
+        gauge.set(99.5, tier="mixed")
+        text = registry.render()
+        assert "# TYPE repro_rate gauge" in text
+        assert 'repro_rate{tier="atomic"} 1234' in text
+        assert 'repro_rate{tier="mixed"} 99.5' in text
+        assert gauge.value(tier="mixed") == 99.5
+        with pytest.raises(ValueError):
+            gauge.set(1.0)  # missing label
+
 
 # ----------------------------------------------------------------------
 # Job manager
@@ -679,104 +693,31 @@ class TestMainConfig:
 
 
 # ----------------------------------------------------------------------
-# Sharded-analysis metrics plumbing
+# Analysis metrics plumbing
 # ----------------------------------------------------------------------
-def _shard_stats_sample():
-    return {
-        "shards": [
-            {"shard": 0, "entries": 600, "seconds": 0.5, "refs_per_sec": 1200.0},
-            {"shard": 1, "entries": 400, "seconds": 0.5, "refs_per_sec": 800.0},
-        ],
-        "scout_seconds": 0.2,
-        "wall_seconds": 1.0,
-        "total_entries": 1000,
-        "total_refs_per_sec": 1000.0,
-        "seams_ok": 1,
-    }
-
-
 class TestShardMetrics:
-    def test_labeled_gauge_renders_and_clears(self):
-        registry = MetricsRegistry()
-        gauge = registry.labeled_gauge("repro_rate", "Rate.", ("shard",))
-        assert "repro_rate" not in registry.render()  # no zero-sample default
-        gauge.set(1234, shard="0")
-        gauge.set(99.5, shard="1")
-        text = registry.render()
-        assert "# TYPE repro_rate gauge" in text
-        assert 'repro_rate{shard="0"} 1234' in text
-        assert 'repro_rate{shard="1"} 99.5' in text
-        assert gauge.value(shard="1") == 99.5
-        with pytest.raises(ValueError):
-            gauge.set(1.0)  # missing label
-        gauge.clear()
-        assert "repro_rate{" not in registry.render()
-
-    def _service_metrics(self):
-        from repro.service.app import ServiceMetrics
-
-        registry = MetricsRegistry()
-        manager = _manager()
-        metrics = ServiceMetrics(registry, manager)
-        manager.metrics = metrics
-        return metrics, registry, manager
-
-    def test_record_shard_stats_populates_gauges(self):
-        metrics, registry, _ = self._service_metrics()
-        metrics.record_shard_stats(_shard_stats_sample())
-        text = registry.render()
-        assert "repro_analysis_shards 2" in text
-        assert 'repro_analysis_shard_refs_per_sec{shard="0"} 1200' in text
-        assert 'repro_analysis_shard_refs_per_sec{shard="1"} 800' in text
-        assert "repro_analysis_total_refs_per_sec 1000" in text
-
-    def test_record_shard_stats_replaces_stale_series(self):
-        metrics, registry, _ = self._service_metrics()
-        metrics.record_shard_stats(_shard_stats_sample())
-        metrics.record_shard_stats({
-            "shards": [
-                {"shard": 0, "entries": 10, "seconds": 1.0, "refs_per_sec": 10.0}
-            ],
-            "total_refs_per_sec": 10.0,
-        })
-        text = registry.render()
-        assert "repro_analysis_shards 1" in text
-        assert 'repro_analysis_shard_refs_per_sec{shard="0"} 10' in text
-        assert 'shard="1"' not in text  # stale per-shard series cleared
-
-    def test_runner_tuple_result_feeds_metrics_and_unwraps(self):
-        """The default runner returns (payload, shard_stats): the job
-        result must be the bare payload, the stats must reach /metrics."""
-        def runner(exhibit_id, settings, cache_spec):
-            return _stub_runner(exhibit_id, settings, cache_spec), \
-                _shard_stats_sample()
-
-        async def scenario():
-            metrics, registry, jobs = self._service_metrics()
-            jobs.runner = runner
-            await jobs.start()
-            try:
-                job, _ = jobs.submit("table1")
-                finished = await _wait_terminal(jobs, job.job_id)
-                assert finished.state == DONE
-                assert finished.result["exhibit_id"] == "table1"  # unwrapped
-                assert "repro_analysis_shards 2" in registry.render()
-            finally:
-                await jobs.close()
-        asyncio.run(scenario())
+    """The analysis is serial only: runners return the bare payload and
+    /metrics carries no per-shard analysis series."""
 
     def test_plain_dict_runner_results_pass_through(self):
-        """Injected runners returning bare payload dicts (and serial
-        builds reporting no shard stats) skip the metrics hook."""
+        """A runner's bare payload dict is the job result as is, with the
+        service metrics attached, and no shard gauge is rendered."""
+        from repro.service.app import ServiceMetrics
+
         async def scenario():
-            metrics, registry, jobs = self._service_metrics()
+            registry = MetricsRegistry()
+            jobs = _manager()
+            jobs.metrics = ServiceMetrics(registry, jobs)
             await jobs.start()
             try:
                 job, _ = jobs.submit("table1")
                 finished = await _wait_terminal(jobs, job.job_id)
                 assert finished.state == DONE
-                assert finished.result["exhibit_id"] == "table1"
-                assert "repro_analysis_shards 0" in registry.render()
+                assert finished.result == _stub_runner("table1", _SHORT, None)
+                text = registry.render()
+                assert 'repro_jobs_total{outcome="done"} 1' in text
+                assert "repro_analysis_shard" not in text
             finally:
                 await jobs.close()
         asyncio.run(scenario())
+

@@ -41,14 +41,14 @@ class TestCacheRepr:
 class TestResolved:
     def test_empty_args_leave_sim_kwargs_empty(self):
         ctx = ExperimentContext(RunSettings())
-        *_rest, sim_kwargs, _shards = ctx._resolved({})
+        *_rest, sim_kwargs = ctx._resolved({})
         assert sim_kwargs == {}
-        *_rest, sim_kwargs, _shards = ctx._resolved({"workload_args": ()})
+        *_rest, sim_kwargs = ctx._resolved({"workload_args": ()})
         assert sim_kwargs == {}
 
     def test_tuned_args_resolve_canonically(self):
         ctx = ExperimentContext(RunSettings())
-        *_rest, sim_kwargs, _shards = ctx._resolved(
+        *_rest, sim_kwargs = ctx._resolved(
             {"workload_args": {"skew": 1.2, "keys": 64}}
         )
         assert sim_kwargs == {
@@ -57,7 +57,7 @@ class TestResolved:
 
     def test_settings_args_flow_into_runs(self):
         ctx = ExperimentContext(RunSettings(workload_args=ARGS))
-        *_rest, sim_kwargs, _shards = ctx._resolved({})
+        *_rest, sim_kwargs = ctx._resolved({})
         assert sim_kwargs == {"workload_args": ARGS}
 
     def test_memory_key_canonicalizes(self):
