@@ -15,6 +15,10 @@ import time
 from benchmarks.conftest import SETTINGS
 from repro.api import Simulation
 
+# Each tier is timed over several simulations of the same window, so one
+# noisy run cannot move the median the perf gate compares.
+ROUNDS = 5
+
 
 def _simulate(fidelity: str):
     sim = Simulation("pmake", seed=SETTINGS.seed, fidelity=fidelity)
@@ -23,14 +27,14 @@ def _simulate(fidelity: str):
 
 def test_bench_sim_detailed(benchmark):
     run = benchmark.pedantic(
-        _simulate, args=("detailed",), rounds=1, iterations=1
+        _simulate, args=("detailed",), rounds=ROUNDS, iterations=1
     )
     assert run.fidelity == "detailed"
 
 
 def test_bench_sim_atomic(benchmark):
     run = benchmark.pedantic(
-        _simulate, args=("atomic",), rounds=1, iterations=1
+        _simulate, args=("atomic",), rounds=ROUNDS, iterations=1
     )
     assert run.fidelity == "atomic"
     assert run.fast_forwarded_refs > 0
@@ -38,21 +42,29 @@ def test_bench_sim_atomic(benchmark):
 
 def test_bench_sim_mixed(benchmark):
     run = benchmark.pedantic(
-        _simulate, args=("mixed",), rounds=1, iterations=1
+        _simulate, args=("mixed",), rounds=ROUNDS, iterations=1
     )
     assert run.fidelity == "mixed"
     assert run.fast_forwarded_refs > 0
 
 
+def _best_time(fidelity: str, repeats: int = 3) -> float:
+    """Fastest of ``repeats`` simulations: in a benchmark session that
+    holds several traced runs, one full garbage collection can take
+    longer than a whole atomic run."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        _simulate(fidelity)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def test_atomic_is_faster():
     """The functional-first tier must beat the detailed engine on the
     same window — gated here, not just claimed in the docs."""
-    start = time.perf_counter()
-    _simulate("detailed")
-    detailed_s = time.perf_counter() - start
-    start = time.perf_counter()
-    _simulate("atomic")
-    atomic_s = time.perf_counter() - start
+    detailed_s = _best_time("detailed")
+    atomic_s = _best_time("atomic")
     assert atomic_s < detailed_s, (
         f"atomic {atomic_s:.3f}s not faster than detailed {detailed_s:.3f}s"
     )

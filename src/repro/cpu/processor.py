@@ -20,7 +20,7 @@ touch costs one cycle, and misses add the 35-cycle bus stall
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.common.params import MachineParams
 from repro.common.types import Mode, RefDomain
@@ -112,6 +112,42 @@ class Processor:
     # ------------------------------------------------------------------
     # Reference issue (physical addresses)
     # ------------------------------------------------------------------
+    # A hit on a direct-mapped level costs no stall and moves no state:
+    # the bus, the monitor, coherence and ground truth never see it. So
+    # every method below resolves hits itself with a membership test and
+    # calls into the memory system only for references that can stall or
+    # change state. The range loops also keep a local clock: each miss is
+    # stamped with the issue cycles plus the stalls before it (none while
+    # ``prefetch_mode`` hides them), and the CPU's clock and mode
+    # counters are settled once per range.
+
+    def _instr_hits(self):
+        """Blocks a fetch hits without stalling or moving state: the
+        I-cache's, in both tiers, when it is direct-mapped (else none)."""
+        m = self.memsys
+        return m.hierarchies[self.cpu_id].icache._present if m._icache_dm else ()
+
+    def _data_hits(self):
+        """Blocks a data read hits without stalling or moving state.
+
+        The first-level cache in the detailed tier; the second level in
+        the atomic tier, which does not model the first. Empty when that
+        level is associative (a hit there refreshes LRU order, so it goes
+        through the memory system). A write hits only if the CPU also
+        owns the block.
+        """
+        m = self.memsys
+        hier = m.hierarchies[self.cpu_id]
+        if m.atomic:
+            return hier.dl2._present if m._dl2_dm else ()
+        return hier.dl1._present if hier.dl1.assoc == 1 else ()
+
+    def _settle(self, elapsed: int, stall: int) -> None:
+        """Charge a range's issue-plus-stall cycles in the current mode."""
+        self.cycles += elapsed
+        self.mode_cycles[self.mode] += elapsed
+        self.stall_cycles[self.mode] += stall
+
     def ifetch_range(self, base: int, size: int) -> None:
         """Execute straight-line code spanning ``[base, base+size)``."""
         if size <= 0:
@@ -121,94 +157,78 @@ class Processor:
         last = (base + size - 1) // block_bytes
         nblocks = last - first + 1
         self.refs_retired += nblocks
-        if self.memsys.atomic:
+        m = self.memsys
+        if m.atomic:
             self.advance(nblocks * IFETCH_ISSUE_CYCLES)
-            self._stall(self.memsys.atomic_ifetch_range(
+            self._stall(m.atomic_ifetch_range(
                 self.cpu_id, first, nblocks, self.domain, self.app_epoch
             ))
             return
-        fetch = self.memsys.ifetch
+        present = self._instr_hits()
+        fetch = m.ifetch
+        cpu, domain, epoch = self.cpu_id, self.domain, self.app_epoch
+        charge = not self.prefetch_mode
+        now = start = self.cycles
+        stall = 0
         for block in range(first, last + 1):
-            self.advance(IFETCH_ISSUE_CYCLES)
-            self._stall(fetch(self.cycles, self.cpu_id, block, self.domain, self.app_epoch))
+            now += IFETCH_ISSUE_CYCLES
+            if block not in present:
+                cost = fetch(now, cpu, block, domain, epoch)
+                if charge:
+                    now += cost
+                    stall += cost
+        self._settle(now - start, stall)
 
     def ifetch_block(self, block: int) -> None:
         """Fetch one instruction block (loop bodies, idle loop)."""
         self.refs_retired += 1
         self.advance(IFETCH_ISSUE_CYCLES)
         m = self.memsys
-        if (m.atomic and m._icache_dm
-                and block in m.hierarchies[self.cpu_id].icache._present):
-            # Atomic-tier hit: zero stall, no state movement — skip the
-            # call into the memory system (same shortcut its own atomic
-            # path would take).
-            m.atomic_refs += 1
+        if block in self._instr_hits():
+            if m.atomic:
+                m.atomic_refs += 1
             return
         self._stall(
             m.ifetch(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
+        )
+
+    def _data_ref(self, block: int, write: bool) -> None:
+        """Issue one data block reference."""
+        self.refs_retired += 1
+        self.advance(DTOUCH_ISSUE_CYCLES)
+        m = self.memsys
+        if block in self._data_hits() and (
+            not write or m._owner.get(block) == self.cpu_id
+        ):
+            if m.atomic:
+                m.atomic_refs += 1
+            return
+        access = m.dwrite if write else m.dread
+        self._stall(
+            access(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
         )
 
     def dread(self, addr: int) -> None:
         """Load from one data address."""
         if self.access_probe is not None:
             self.access_probe(self.cpu_id, addr, False)
-        self.refs_retired += 1
-        self.advance(DTOUCH_ISSUE_CYCLES)
-        m = self.memsys
-        block = addr // self._block_bytes
-        if (m.atomic and m._dl2_dm
-                and block in m.hierarchies[self.cpu_id].dl2._present):
-            m.atomic_refs += 1  # atomic-tier hit (see ifetch_block)
-            return
-        self._stall(
-            m.dread(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
-        )
+        self._data_ref(addr // self._block_bytes, False)
 
     def dwrite(self, addr: int) -> None:
         """Store to one data address."""
         if self.access_probe is not None:
             self.access_probe(self.cpu_id, addr, True)
-        self.refs_retired += 1
-        self.advance(DTOUCH_ISSUE_CYCLES)
-        m = self.memsys
-        block = addr // self._block_bytes
-        if (m.atomic and m._dl2_dm
-                and block in m.hierarchies[self.cpu_id].dl2._present
-                and m._owner.get(block) == self.cpu_id):
-            m.atomic_refs += 1  # atomic-tier owned-hit (see ifetch_block)
-            return
-        self._stall(
-            m.dwrite(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
-        )
+        self._data_ref(addr // self._block_bytes, True)
 
     def dread_block(self, block: int) -> None:
         if self.block_probe is not None:
             self.block_probe(self.cpu_id, block, False)
-        self.refs_retired += 1
-        self.advance(DTOUCH_ISSUE_CYCLES)
-        m = self.memsys
-        if (m.atomic and m._dl2_dm
-                and block in m.hierarchies[self.cpu_id].dl2._present):
-            m.atomic_refs += 1  # atomic-tier hit (see ifetch_block)
-            return
-        self._stall(
-            m.dread(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
-        )
+        self._data_ref(block, False)
 
     def dwrite_block(self, block: int) -> None:
         if self.block_probe is not None:
             self.block_probe(self.cpu_id, block, True)
-        self.refs_retired += 1
-        self.advance(DTOUCH_ISSUE_CYCLES)
-        m = self.memsys
-        if (m.atomic and m._dl2_dm
-                and block in m.hierarchies[self.cpu_id].dl2._present
-                and m._owner.get(block) == self.cpu_id):
-            m.atomic_refs += 1  # atomic-tier owned-hit (see ifetch_block)
-            return
-        self._stall(
-            m.dwrite(self.cycles, self.cpu_id, block, self.domain, self.app_epoch)
-        )
+        self._data_ref(block, True)
 
     def dtouch_range(self, base: int, size: int, write: bool = False) -> None:
         """Sweep a data range block by block (structure touches, block ops)."""
@@ -220,61 +240,116 @@ class Processor:
         block_bytes = self._block_bytes
         first = base // block_bytes
         last = (base + size - 1) // block_bytes
-        if self.memsys.atomic and self.block_probe is None:
-            nblocks = last - first + 1
-            self.refs_retired += nblocks
+        nblocks = last - first + 1
+        self.refs_retired += nblocks
+        m = self.memsys
+        probe = self.block_probe
+        if m.atomic and probe is None:
             self.advance(nblocks * DTOUCH_ISSUE_CYCLES)
-            self._stall(self.memsys.atomic_dtouch(
+            self._stall(m.atomic_dtouch(
                 self.cpu_id, first, nblocks, write, self.domain, self.app_epoch
             ))
             return
-        touch = self.dwrite_block if write else self.dread_block
+        present = self._data_hits()
+        owner_get = m._owner.get
+        access = m.dwrite if write else m.dread
+        cpu, domain, epoch = self.cpu_id, self.domain, self.app_epoch
+        charge = not self.prefetch_mode
+        now = start = self.cycles
+        stall = hits = 0
         for block in range(first, last + 1):
-            touch(block)
+            if probe is not None:
+                probe(cpu, block, write)
+            now += DTOUCH_ISSUE_CYCLES
+            if block in present and (not write or owner_get(block) == cpu):
+                hits += 1
+                continue
+            cost = access(now, cpu, block, domain, epoch)
+            if charge:
+                now += cost
+                stall += cost
+        if m.atomic:
+            m.atomic_refs += hits
+        self._settle(now - start, stall)
 
     def copy_blocks(self, src_block: int, dst_block: int, nblocks: int,
                     loop_block: int, refetch_every: int) -> None:
         """bcopy's inner loop: read source, write destination, with the
         loop-body refetch every ``refetch_every`` blocks."""
-        if nblocks <= 0:
-            return
-        if self.memsys.atomic and self.block_probe is None:
-            n_if = (nblocks + refetch_every - 1) // refetch_every
-            self.refs_retired += 2 * nblocks + n_if
-            self.advance(
-                2 * nblocks * DTOUCH_ISSUE_CYCLES + n_if * IFETCH_ISSUE_CYCLES
-            )
-            self._stall(self.memsys.atomic_sweep(
-                self.cpu_id, dst_block, nblocks, loop_block, refetch_every,
-                self.domain, self.app_epoch, src_block=src_block,
-            ))
-            return
-        for i in range(nblocks):
-            self.dread_block(src_block + i)
-            self.dwrite_block(dst_block + i)
-            if i % refetch_every == 0:
-                self.ifetch_block(loop_block)
+        self._sweep(src_block, dst_block, nblocks, loop_block, refetch_every)
 
     def clear_blocks(self, dst_block: int, nblocks: int,
                      loop_block: int, refetch_every: int) -> None:
         """bclear's inner loop: write destination blocks with refetch."""
+        self._sweep(None, dst_block, nblocks, loop_block, refetch_every)
+
+    def _sweep(self, src_block: Optional[int], dst_block: int, nblocks: int,
+               loop_block: int, refetch_every: int) -> None:
+        """Block-op loop shared by bcopy (``src_block`` given) and bclear.
+
+        Per block: read the source block, write the destination block,
+        and fetch the loop body on every ``refetch_every``-th block.
+        """
         if nblocks <= 0:
             return
-        if self.memsys.atomic and self.block_probe is None:
-            n_if = (nblocks + refetch_every - 1) // refetch_every
-            self.refs_retired += nblocks + n_if
+        n_if = (nblocks + refetch_every - 1) // refetch_every
+        reads = nblocks if src_block is not None else 0
+        self.refs_retired += reads + nblocks + n_if
+        m = self.memsys
+        probe = self.block_probe
+        if m.atomic and probe is None:
             self.advance(
-                nblocks * DTOUCH_ISSUE_CYCLES + n_if * IFETCH_ISSUE_CYCLES
+                (reads + nblocks) * DTOUCH_ISSUE_CYCLES + n_if * IFETCH_ISSUE_CYCLES
             )
-            self._stall(self.memsys.atomic_sweep(
+            self._stall(m.atomic_sweep(
                 self.cpu_id, dst_block, nblocks, loop_block, refetch_every,
-                self.domain, self.app_epoch,
+                self.domain, self.app_epoch, src_block=src_block,
             ))
             return
+        ipresent = self._instr_hits()
+        dpresent = self._data_hits()
+        owner_get = m._owner.get
+        read, write, fetch = m.dread, m.dwrite, m.ifetch
+        cpu, domain, epoch = self.cpu_id, self.domain, self.app_epoch
+        charge = not self.prefetch_mode
+        now = start = self.cycles
+        stall = hits = 0
         for i in range(nblocks):
-            self.dwrite_block(dst_block + i)
+            if src_block is not None:
+                block = src_block + i
+                if probe is not None:
+                    probe(cpu, block, False)
+                now += DTOUCH_ISSUE_CYCLES
+                if block in dpresent:
+                    hits += 1
+                else:
+                    cost = read(now, cpu, block, domain, epoch)
+                    if charge:
+                        now += cost
+                        stall += cost
+            block = dst_block + i
+            if probe is not None:
+                probe(cpu, block, True)
+            now += DTOUCH_ISSUE_CYCLES
+            if block in dpresent and owner_get(block) == cpu:
+                hits += 1
+            else:
+                cost = write(now, cpu, block, domain, epoch)
+                if charge:
+                    now += cost
+                    stall += cost
             if i % refetch_every == 0:
-                self.ifetch_block(loop_block)
+                now += IFETCH_ISSUE_CYCLES
+                if loop_block in ipresent:
+                    hits += 1
+                else:
+                    cost = fetch(now, cpu, loop_block, domain, epoch)
+                    if charge:
+                        now += cost
+                        stall += cost
+        if m.atomic:
+            m.atomic_refs += hits
+        self._settle(now - start, stall)
 
     def uncached_read(self, addr: int) -> None:
         """Cache-bypassing byte read (escape references)."""

@@ -15,8 +15,7 @@ them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 
 class BusOp(enum.Enum):
@@ -31,8 +30,7 @@ class BusOp(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class BusTransaction:
+class BusTransaction(NamedTuple):
     """One observable bus transaction.
 
     ``time_cycles`` is in 30 ns processor cycles; the monitor quantizes to

@@ -88,7 +88,7 @@ class Cache:
     def fill(self, block: int) -> int:
         """Fill a block the caller has already proven absent.
 
-        The atomic tier's batched paths test ``block in _present``
+        The miss paths of both tiers test ``block in _present``
         themselves before deciding a reference missed; this skips
         ``access``'s redundant hit check. Returns the evicted block
         number or ``EMPTY``.

@@ -63,19 +63,19 @@ class CpuCacheHierarchy:
         from L1, so L2 state alone describes what the bus-level
         reconstruction (the paper's postprocessing approach) can see.
         """
-        if self.dl1.lookup(block):
-            self.dl1.access(block)  # refresh LRU
+        dl1 = self.dl1
+        if block in dl1._present:
+            dl1.access(block)  # refresh LRU
             return AccessOutcome.L1_HIT, EMPTY
-        if self.dl2.lookup(block):
-            self.dl2.access(block)
-            self.dl1.access(block)
+        dl2 = self.dl2
+        if block in dl2._present:
+            dl2.access(block)
+            dl1.fill(block)
             return AccessOutcome.L2_HIT, EMPTY
-        l2_victim = self.dl2.access(block)
-        if l2_victim is None:  # pragma: no cover - lookup said miss
-            raise AssertionError("L2 lookup/access disagree")
+        l2_victim = dl2.fill(block)
         if l2_victim != EMPTY:
-            self.dl1.invalidate(l2_victim)  # keep L1 subset of L2
-        self.dl1.access(block)
+            dl1.invalidate(l2_victim)  # keep L1 subset of L2
+        dl1.fill(block)
         return AccessOutcome.MISS, l2_victim
 
     def invalidate_data(self, block: int) -> bool:

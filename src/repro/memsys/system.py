@@ -73,10 +73,10 @@ class MemorySystem:
         # fall back to the full access for exact LRU.
         self._dl2_dm = params.dcache_l2.associativity == 1
         self._icache_dm = params.icache.associativity == 1
-        # Prebound per-CPU state for the scalar atomic paths (the
-        # batched sweeps rebuild the same bindings per call): truth
-        # handles, and each CPU's snoop targets with their present-sets
-        # so the dwrite invalidation loop can pre-test membership
+        # Prebound per-CPU state: ground-truth handles for the scalar
+        # atomic paths (the batched sweeps rebuild them per call), and
+        # each CPU's snoop targets with their present-sets, so that the
+        # write-invalidation loops of both tiers pre-test membership
         # instead of calling into every other hierarchy. All referenced
         # containers are mutated in place, never replaced, so the
         # bindings stay valid for the system's lifetime.
@@ -124,9 +124,11 @@ class MemorySystem:
             truth.evicted_by.pop(block, None)
             truth.invalidated.discard(block)
             return self.params.bus_stall_cycles
-        victim = self.hierarchies[cpu].ifetch(block)
-        if victim is None:
+        icache = self.hierarchies[cpu].icache
+        if block in icache._present:
+            icache.access(block)  # refresh LRU
             return 0
+        victim = icache.fill(block)
         if victim != EMPTY:
             self.truth.record_eviction(cpu, INSTR, victim, domain, app_epoch)
         self.truth.classify_and_record(time_cycles, cpu, INSTR, block, domain, app_epoch)
@@ -259,8 +261,11 @@ class MemorySystem:
             if self.checker is not None:
                 icache_before = self.checker.snapshot_icaches(block)
             # Gain ownership: one bus transaction invalidating other copies.
-            for other in self.hierarchies:
-                if other.cpu != cpu and other.invalidate_data(block):
+            for other, o_dl1p, o_dl2p in self._snoop[cpu]:
+                if (
+                    (block in o_dl2p or block in o_dl1p)
+                    and other.invalidate_data(block)
+                ):
                     self.truth.record_invalidation(other.cpu, DATA, block)
             self._owner[block] = cpu
             self.bus_writes += 1

@@ -71,15 +71,6 @@ class _CpuCacheTruth:
             return MissClass.DISPOS, epoch == app_epoch
         return MissClass.DISPAP, False
 
-    def on_fill(self, block: int) -> None:
-        self.ever_cached.add(block)
-        self.evicted_by.pop(block, None)
-        self.invalidated.discard(block)
-
-    def on_eviction(self, block: int, domain: RefDomain, app_epoch: int) -> None:
-        self.evicted_by[block] = (domain, app_epoch)
-        self.invalidated.discard(block)
-
     def on_invalidation(self, block: int) -> None:
         self.invalidated.add(block)
         self.evicted_by.pop(block, None)
@@ -108,9 +99,10 @@ class GroundTruth:
     def cpu_truth(self, cpu: int, kind: str) -> _CpuCacheTruth:
         """Direct handle on one CPU's classification state.
 
-        Used by the atomic tier's batched sweeps (which inline the
-        ``on_fill``/``on_eviction`` updates) and by the mixed-fidelity
-        seam dump that seeds the trace-side reconstruction.
+        Used by the atomic tier's paths (which update the fill and
+        eviction state directly, as :meth:`classify_and_record` and
+        :meth:`record_eviction` do) and by the mixed-fidelity seam dump
+        that seeds the trace-side reconstruction.
         """
         return self._table(kind)[cpu]
 
@@ -126,7 +118,7 @@ class GroundTruth:
         domain: RefDomain,
         app_epoch: int,
     ) -> Tuple[MissClass, bool]:
-        truth = self._table(kind)[cpu]
+        truth = (self._instr if kind == INSTR else self._data)[cpu]
         miss_class, dispossame = truth.classify(block, app_epoch)
         if miss_class is MissClass.SHARING and kind == INSTR:
             miss_class = MissClass.INVAL
@@ -137,26 +129,20 @@ class GroundTruth:
             self.events.append(
                 MissEvent(time_cycles, cpu, block, kind, domain, miss_class, dispossame)
             )
-        truth.on_fill(block)
+        truth.ever_cached.add(block)
+        truth.evicted_by.pop(block, None)
+        truth.invalidated.discard(block)
         return miss_class, dispossame
 
     def record_uncached(self, domain: RefDomain) -> None:
         self.counts[(domain, DATA, MissClass.UNCACHED)] += 1
 
-    def warm_fill(self, cpu: int, kind: str, block: int) -> None:
-        """State-only fill: the atomic fidelity tier warming a cache.
-
-        Updates the warmth state exactly like :meth:`classify_and_record`
-        but classifies nothing and counts nothing, so fast-forwarded
-        references leave the Table 2 counters untouched while the
-        post-seam detailed window still classifies against true history.
-        """
-        self._table(kind)[cpu].on_fill(block)
-
     def record_eviction(
         self, cpu: int, kind: str, block: int, domain: RefDomain, app_epoch: int
     ) -> None:
-        self._table(kind)[cpu].on_eviction(block, domain, app_epoch)
+        truth = (self._instr if kind == INSTR else self._data)[cpu]
+        truth.evicted_by[block] = (domain, app_epoch)
+        truth.invalidated.discard(block)
 
     def record_invalidation(self, cpu: int, kind: str, block: int) -> None:
         self._table(kind)[cpu].on_invalidation(block)

@@ -241,20 +241,19 @@ class UserEngine:
         consumed = 0
         cursor = process.sweep_cursor
         advance = proc.advance
-        # Atomic-tier hit fast path: a resident (and, for writes, owned)
-        # block costs zero stall, so the whole processor/memsys call
-        # chain collapses to the bookkeeping below. Hoisted per slice —
-        # the seam can only flip `memsys.atomic` between slices. Only
-        # direct-mapped geometries prove residency by membership, and a
-        # deep-check probe must see every block reference.
+        # Hit fast path: a direct-mapped hit (for writes, an owned one)
+        # costs zero stall and moves no state, so it needs only the
+        # bookkeeping below (Processor._instr_hits/_data_hits say which
+        # level proves a hit in each tier). Hoisted per slice — the seam
+        # can only flip `memsys.atomic` between slices. A deep-check
+        # probe must see every data block reference, so it disables the
+        # data side.
         memsys = proc.memsys
-        atomic = memsys.atomic and proc.block_probe is None
-        if atomic:
-            hier = memsys.hierarchies[proc.cpu_id]
-            ipresent = hier.icache._present if memsys._icache_dm else ()
-            dpresent = hier.dl2._present if memsys._dl2_dm else ()
-            owner_get = memsys._owner.get
-            cpu_id = proc.cpu_id
+        atomic = memsys.atomic
+        cpu_id = proc.cpu_id
+        ipresent = proc._instr_hits()
+        dpresent = proc._data_hits() if proc.block_probe is None else ()
+        owner_get = memsys._owner.get
         for _ in range(n_touches):
             if rng.random() < cfg.jump_probability:
                 cursor = rng.randrange(len(hot))
@@ -267,29 +266,22 @@ class UserEngine:
                 process.sweep_cursor = cursor
                 return consumed, True
             pblock = frame * bpp + block
-            if atomic:
-                if is_text:
-                    if pblock in ipresent:
+            if is_text:
+                if pblock in ipresent:
+                    if atomic:
                         memsys.atomic_refs += 1
-                        proc.refs_retired += 1
-                        advance(_IFETCH_ISSUE + gap)
-                        consumed += gap + _IFETCH_ISSUE
-                        continue
-                    proc.ifetch_block(pblock)
-                elif pblock in dpresent and (
-                    not write or owner_get(pblock) == cpu_id
-                ):
-                    memsys.atomic_refs += 1
                     proc.refs_retired += 1
-                    advance(_DTOUCH_ISSUE + gap)
+                    advance(_IFETCH_ISSUE + gap)
                     consumed += gap + _IFETCH_ISSUE
                     continue
-                elif write:
-                    proc.dwrite_block(pblock)
-                else:
-                    proc.dread_block(pblock)
-            elif is_text:
                 proc.ifetch_block(pblock)
+            elif pblock in dpresent and (not write or owner_get(pblock) == cpu_id):
+                if atomic:
+                    memsys.atomic_refs += 1
+                proc.refs_retired += 1
+                advance(_DTOUCH_ISSUE + gap)
+                consumed += gap + _IFETCH_ISSUE
+                continue
             elif write:
                 proc.dwrite_block(pblock)
             else:
