@@ -26,7 +26,7 @@ def imiss_stream(warm_ctx):
 
 def test_bench_analysis(benchmark, pmake_run):
     report = benchmark.pedantic(
-        analyze_trace, args=(pmake_run,), rounds=1, iterations=1
+        analyze_trace, args=(pmake_run,), rounds=5, iterations=1
     )
     entries = sum(len(segment.entries) for segment in pmake_run.trace.segments)
     benchmark.extra_info["trace_entries"] = entries

@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.params import CYCLES_PER_TICK
 from repro.common.types import MissClass, RefDomain
 from repro.kernel.blockops import KIND_NAMES
 from repro.kernel.kernel import CODE_OP
@@ -43,7 +44,7 @@ from repro.monitor.escapes import (
     signal_event,
 )
 from repro.monitor.hwmonitor import OP_UNCACHED, OP_WRITE, Trace
-from repro.analysis.reconstruct import CpuReconstruction
+from repro.analysis.reconstruct import EMPTY, CpuReconstruction
 
 _KTEXT_END = KTEXT_BASE + KTEXT_SIZE
 _INSTR = "I"
@@ -240,7 +241,7 @@ class TraceAnalyzer:
         end_tick = 0
         for segment in trace.segments:
             self.feed(segment.entries)
-            end_tick = max(end_tick, segment.end_cycles // 2)
+            end_tick = max(end_tick, segment.end_cycles // CYCLES_PER_TICK)
         # Flush each CPU's trailing time and close the window.
         for cpu_state in self._cpus:
             self._account_time(cpu_state, end_tick)
@@ -249,12 +250,190 @@ class TraceAnalyzer:
 
     def feed(self, entries) -> None:
         """Process one segment's trace entries (a method of its own so
-        per-layer profiling can time the decode loop apart from set-up)."""
+        per-layer profiling can time the decode loop apart from set-up).
+
+        Escapes go through :meth:`_escape`. Every cacheable entry — a
+        miss or an ownership upgrade — is decoded inline, in this order:
+
+        1. the instruction test (kernel text, or a frame the TLB updates
+           marked as text);
+        2. the domain (OS while in the OS or idle, else application);
+        3. for a write, invalidating the other CPUs' reconstructed data
+           copies, in ascending CPU id;
+        4. the upgrade test (a write to a block this CPU's data cache
+           still holds is an upgrade, not a miss);
+        5. the direct-mapped fill and its Table 2 classification — the
+           same steps as :meth:`ReconstructedCache.classify_fill`, which
+           stays the reference the tests hold this loop to;
+        6. the I-miss stream;
+        7. the per-invocation counters;
+        8. the statistics inside the measurement window.
+
+        Keeping this order keeps every Counter's insertion order, so the
+        pickled :class:`TraceAnalysis` does not depend on the loop's
+        shape.
+        """
+        result = self.result
+        cpus = self._cpus
+        recons = self._recons
+        escape = self._escape
+        window_start = self._window_start
+        block_bytes = self.block_bytes
+        frame_is_text = self._frame_is_text
+        keep_imiss = self.keep_imiss_stream
+        imiss_append = result.imiss_stream.append
+        miss_counts = result.miss_counts
+        dispossame_counts = result.dispossame
+        op_misses = result.op_misses
+        imiss_by_routine = result.imiss_by_routine
+        imiss_dispos_by_routine = result.imiss_dispos_by_routine
+        imiss_dispos_addr_hist = result.imiss_dispos_addr_hist
+        dmiss_by_struct_class = result.dmiss_by_struct_class
+        sharing_by_struct = result.sharing_by_struct
+        migration_op_misses = result.migration_op_misses
+        blockop_misses = result.blockop_misses
+        ap_dispos = result.ap_dispos
+        routine_at = self.layout.routine_at
+        structure_at = self.datamap.structure_at
+        OS, APP = RefDomain.OS, RefDomain.APP
+        COLD, DISPOS, DISPAP = MissClass.COLD, MissClass.DISPOS, MissClass.DISPAP
+        SHARING, INVAL = MissClass.SHARING, MissClass.INVAL
+        # Each reconstructed cache's containers, bound once: they are
+        # only ever mutated in place. Every CPU's data cache has the
+        # same geometry, so one set index serves all of them.
+        icaches = [_fill_state(recon.icache) for recon in recons]
+        dcaches = [_fill_state(recon.dcache) for recon in recons]
+        dsets = recons[0].dcache.num_sets
+        # What a write by each CPU invalidates: the other CPUs' data
+        # caches, in ascending CPU id.
+        others = [
+            [(lines, evicted_by, invalidated)
+             for other, (lines, _n, _e, evicted_by, invalidated) in enumerate(dcaches)
+             if other != cpu]
+            for cpu in range(len(dcaches))
+        ]
+        writes = instr_reads = data_reads = upgrades = 0
         for entry in entries:
-            if entry[3] == OP_UNCACHED:
-                self._escape(entry)
+            tick, cpu, addr, op = entry
+            if op == OP_UNCACHED:
+                escape(entry)
+                continue
+            cpu_state = cpus[cpu]
+            block = addr // block_bytes
+            is_instr = addr < _KTEXT_END or frame_is_text.get(addr >> 12, False)
+            if cpu_state.os_depth > 0 or cpu_state.idle:
+                domain, is_os = OS, True
             else:
-                self._reference(entry)
+                domain, is_os = APP, False
+            if op == OP_WRITE:
+                writes += 1
+                # Write-invalidate coherence: every other copy dies.
+                index = block % dsets
+                for lines, evicted_by, invalidated in others[cpu]:
+                    if lines[index] == block:
+                        lines[index] = EMPTY
+                        invalidated.add(block)
+                        evicted_by.pop(block, None)
+                if dcaches[cpu][0][index] == block:
+                    # Ownership upgrade, not a miss.
+                    if tick >= window_start:
+                        upgrades += 1
+                    continue
+            elif is_instr:
+                instr_reads += 1
+            else:
+                data_reads += 1
+            # The fill, classified first (Table 2).
+            lines, nsets, ever_cached, evicted_by, invalidated = (
+                icaches if is_instr else dcaches
+            )[cpu]
+            app_epoch = recons[cpu].app_epoch
+            dispossame = False
+            if block in invalidated:
+                miss_class = INVAL if is_instr else SHARING
+            elif block not in ever_cached:
+                miss_class = COLD
+            else:
+                displaced = evicted_by.get(block)
+                if displaced is None:
+                    # Cached, never displaced, yet missing: the trace
+                    # did not show the loss (cannot happen with a
+                    # complete trace); treat as cold.
+                    miss_class = COLD
+                elif displaced[0] is OS:
+                    miss_class = DISPOS
+                    dispossame = displaced[1] == app_epoch
+                else:
+                    miss_class = DISPAP
+            index = block % nsets
+            victim = lines[index]
+            if victim != EMPTY and victim != block:
+                evicted_by[victim] = (domain, app_epoch)
+                invalidated.discard(victim)
+            lines[index] = block
+            ever_cached.add(block)
+            evicted_by.pop(block, None)
+            invalidated.discard(block)
+            in_window = tick >= window_start
+            # The I-miss stream and the per-invocation counters
+            # (window filtering happens when the invocation closes).
+            if is_instr:
+                kind = _INSTR
+                if keep_imiss:
+                    imiss_append((cpu, block, is_os, in_window))
+                if is_os:
+                    cpu_state.inv_imiss += 1
+                else:
+                    cpu_state.app_imiss += 1
+            else:
+                kind = _DATA
+                if is_os:
+                    cpu_state.inv_dmiss += 1
+                else:
+                    cpu_state.app_dmiss += 1
+            if not in_window:
+                continue
+            miss_counts[(domain, kind, miss_class)] += 1
+            if dispossame:
+                dispossame_counts[(domain, kind)] += 1
+            if not is_os:
+                if miss_class is DISPOS:
+                    ap_dispos[kind] += 1
+                continue
+            # Functional attribution (innermost op label), then
+            # routine / structure attribution.
+            op_stack = cpu_state.op_stack
+            if op_stack:
+                op_misses[(op_stack[-1], kind)] += 1
+            if is_instr:
+                routine_name = routine_at(addr)
+                if routine_name is not None:
+                    imiss_by_routine[routine_name] += 1
+                if miss_class is DISPOS:
+                    if routine_name is not None:
+                        imiss_dispos_by_routine[routine_name] += 1
+                    imiss_dispos_addr_hist[addr // FIG5_BUCKET_BYTES] += 1
+                continue
+            struct = structure_at(addr)
+            dmiss_by_struct_class[(struct, miss_class)] += 1
+            if miss_class is SHARING:
+                sharing_by_struct[struct] += 1
+                if struct is StructName.EFRAME:
+                    migration_op_misses["low_level_exception"] += 1
+                elif struct in (StructName.PCB, StructName.RUN_QUEUE):
+                    migration_op_misses["run_queue_mgmt"] += 1
+                elif (
+                    struct is StructName.USTRUCT_REST
+                    and op_stack
+                    and op_stack[-1] == "io_syscall"
+                ):
+                    migration_op_misses["rw_setup"] += 1
+            if cpu_state.blockop is not None:
+                blockop_misses[cpu_state.blockop] += 1
+        result.monitor_writes += writes
+        result.monitor_instr_reads += instr_reads
+        result.monitor_data_reads += data_reads
+        result.upgrades += upgrades
 
     def seed_seam(self, seam_state: Optional[list]) -> None:
         """Adopt a mixed-fidelity run's warm-state dump
@@ -428,99 +607,11 @@ class TraceAnalyzer:
             )
         cpu_state.app_start = -1
 
-    # ------------------------------------------------------------------
-    # Cacheable references (the miss stream)
-    # ------------------------------------------------------------------
-    def _reference(self, entry) -> None:
-        tick, cpu, addr, op = entry
-        cpu_state = self._cpus[cpu]
-        recon = self._recons[cpu]
-        result = self.result
-        in_window = tick >= self._window_start
-        block = addr // self.block_bytes
-        is_instr = self._is_instr(addr)
-        domain = (
-            RefDomain.OS
-            if (cpu_state.os_depth > 0 or cpu_state.idle)
-            else RefDomain.APP
-        )
-        if op == OP_WRITE:
-            result.monitor_writes += 1
-            # Write-invalidate coherence: every other copy dies.
-            for other, other_recon in enumerate(self._recons):
-                if other != cpu:
-                    other_recon.dcache.invalidate(block)
-            if recon.dcache.resident(block):
-                # Ownership upgrade, not a miss.
-                if in_window:
-                    result.upgrades += 1
-                return
-        elif is_instr:
-            result.monitor_instr_reads += 1
-        else:
-            result.monitor_data_reads += 1
-        cache = recon.icache if is_instr else recon.dcache
-        miss_class, dispossame = cache.classify_fill(
-            block, domain, recon.app_epoch
-        )
-        if is_instr and miss_class is MissClass.SHARING:
-            miss_class = MissClass.INVAL
-        kind = _INSTR if is_instr else _DATA
-        if is_instr and self.keep_imiss_stream:
-            result.imiss_stream.append(
-                (cpu, block, domain is RefDomain.OS, in_window)
-            )
-        # Per-invocation counters (window filtering happens at close).
-        if domain is RefDomain.OS:
-            if is_instr:
-                cpu_state.inv_imiss += 1
-            else:
-                cpu_state.inv_dmiss += 1
-        else:
-            if is_instr:
-                cpu_state.app_imiss += 1
-            else:
-                cpu_state.app_dmiss += 1
-        if not in_window:
-            return
-        result.miss_counts[(domain, kind, miss_class)] += 1
-        if dispossame:
-            result.dispossame[(domain, kind)] += 1
-        # Functional attribution (innermost op label).
-        if domain is RefDomain.OS and cpu_state.op_stack:
-            result.op_misses[(cpu_state.op_stack[-1], kind)] += 1
-        # Structure / routine attribution.
-        if domain is RefDomain.OS:
-            if is_instr:
-                routine_name = self.layout.routine_at(addr)
-                if routine_name is not None:
-                    result.imiss_by_routine[routine_name] += 1
-                if miss_class is MissClass.DISPOS:
-                    if routine_name is not None:
-                        result.imiss_dispos_by_routine[routine_name] += 1
-                    result.imiss_dispos_addr_hist[addr // FIG5_BUCKET_BYTES] += 1
-            else:
-                struct = self.datamap.structure_at(addr)
-                result.dmiss_by_struct_class[(struct, miss_class)] += 1
-                if miss_class is MissClass.SHARING:
-                    result.sharing_by_struct[struct] += 1
-                    if struct is StructName.EFRAME:
-                        result.migration_op_misses["low_level_exception"] += 1
-                    elif struct in (StructName.PCB, StructName.RUN_QUEUE):
-                        result.migration_op_misses["run_queue_mgmt"] += 1
-                    elif (
-                        struct is StructName.USTRUCT_REST
-                        and cpu_state.op_stack
-                        and cpu_state.op_stack[-1] == "io_syscall"
-                    ):
-                        result.migration_op_misses["rw_setup"] += 1
-                if cpu_state.blockop is not None:
-                    result.blockop_misses[cpu_state.blockop] += 1
-        else:
-            if miss_class is MissClass.DISPOS:
-                result.ap_dispos[kind] += 1
 
-    def _is_instr(self, addr: int) -> bool:
-        if addr < _KTEXT_END:
-            return True
-        return self._frame_is_text.get(addr >> 12, False)
+def _fill_state(cache):
+    """A :class:`ReconstructedCache`'s containers, in the order the
+    decode loop unpacks them."""
+    return (
+        cache.lines, cache.num_sets, cache.ever_cached, cache.evicted_by,
+        cache.invalidated,
+    )

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.analysis.decode import TraceAnalysis
-
-CYCLES_PER_TICK = 2
+from repro.common.params import CYCLES_PER_TICK
 
 
 def _mean(values: Sequence[float]) -> float:

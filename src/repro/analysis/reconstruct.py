@@ -25,7 +25,13 @@ EMPTY = -1
 
 class ReconstructedCache:
     """One direct-mapped cache rebuilt from its fill sequence, with
-    Table 2 classification state."""
+    Table 2 classification state.
+
+    The trace decoder (:meth:`repro.analysis.decode.TraceAnalyzer.feed`)
+    applies :meth:`classify_fill`, :meth:`invalidate` and
+    :meth:`resident` inline on ``lines``/``ever_cached``/``evicted_by``/
+    ``invalidated``; the methods stay the reference its tests drive.
+    """
 
     __slots__ = ("num_sets", "lines", "ever_cached", "evicted_by", "invalidated")
 

@@ -16,14 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.common.params import CYCLES_PER_TICK
 from repro.common.types import MissClass, RefDomain
 from repro.analysis.decode import TraceAnalysis, TraceAnalyzer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim._session import TracedRun
-
-# Monitor ticks are 60 ns = 2 processor cycles.
-CYCLES_PER_TICK = 2
 
 
 @dataclass

@@ -46,6 +46,12 @@ class CacheGeometry:
         return self.num_blocks // self.associativity
 
 
+# Processor cycles per monitor tick: 60 ns monitor ticks over 30 ns
+# cycles. The trace analysis converts between the two clocks with this
+# one ratio, so every machine must keep it (checked in MachineParams).
+CYCLES_PER_TICK = 2
+
+
 @dataclass(frozen=True)
 class MachineParams:
     """Complete machine description; defaults model the 4D/340."""
@@ -79,6 +85,11 @@ class MachineParams:
             raise ValueError("memory must be a whole number of pages")
         if self.icache.block_bytes != self.dcache_l1.block_bytes:
             raise ValueError("this model assumes a single block size")
+        if self.monitor_tick_ns != CYCLES_PER_TICK * self.cycle_ns:
+            raise ValueError(
+                f"monitor_tick_ns must be {CYCLES_PER_TICK} x cycle_ns "
+                "(the trace analysis assumes that many cycles per tick)"
+            )
         if self.network_cpu is None:
             object.__setattr__(
                 self, "network_cpu", 1 if self.num_cpus >= 2 else 0

@@ -15,7 +15,7 @@ The pieces:
 """
 
 from repro.memsys.cache import Cache, EvictionInfo
-from repro.memsys.bus import Bus, BusTransaction, BusOp
+from repro.memsys.bus import Bus
 from repro.memsys.hierarchy import CpuCacheHierarchy, AccessOutcome
 from repro.memsys.memory import PhysicalMemory, MemoryRegion
 from repro.memsys.system import MemorySystem
@@ -25,8 +25,6 @@ __all__ = [
     "Cache",
     "EvictionInfo",
     "Bus",
-    "BusTransaction",
-    "BusOp",
     "CpuCacheHierarchy",
     "AccessOutcome",
     "PhysicalMemory",

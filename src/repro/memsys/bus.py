@@ -1,7 +1,8 @@
 """The shared snooping bus.
 
 Every second-level cache miss, coherence upgrade, and uncached access
-becomes a :class:`BusTransaction`. The hardware monitor
+becomes one bus transaction, handed to each listener as the four values
+``(time_cycles, cpu, addr, op)``. The hardware monitor
 (:mod:`repro.monitor.hwmonitor`) attaches as a listener and records the
 (time, CPU, physical address) triple of each transaction — exactly what
 the paper's monitor stored (Section 2.1).
@@ -14,36 +15,18 @@ them.
 
 from __future__ import annotations
 
-import enum
-from typing import Callable, List, NamedTuple
+from typing import Callable, List
 
+# Transaction kinds a bus snooper can tell apart. These are also the op
+# codes of the monitor's trace entries, so a transaction reaches the
+# trace buffer without translation.
+OP_READ = 0       # cache fill for a read / instruction fetch
+OP_WRITE = 1      # cache fill for a write, or ownership upgrade
+OP_UNCACHED = 2   # cache-bypassing read (escapes, PIO)
 
-class BusOp(enum.Enum):
-    """Bus transaction kinds distinguishable by a bus snooper."""
-
-    READ = "read"            # cache fill for a read / instruction fetch
-    WRITE = "write"          # cache fill for a write, or ownership upgrade
-    UNCACHED_READ = "uncached_read"  # cache-bypassing read (escapes, PIO)
-
-    # Members are singletons; the C-level identity hash beats Enum's
-    # Python-level hash on the per-transaction monitor/analysis paths.
-    __hash__ = object.__hash__
-
-
-class BusTransaction(NamedTuple):
-    """One observable bus transaction.
-
-    ``time_cycles`` is in 30 ns processor cycles; the monitor quantizes to
-    its own 60 ns tick when recording.
-    """
-
-    time_cycles: int
-    cpu: int
-    addr: int
-    op: BusOp
-
-
-Listener = Callable[[BusTransaction], None]
+# listener(time_cycles, cpu, addr, op); ``time_cycles`` is in 30 ns
+# processor cycles (the monitor quantizes to its own 60 ns tick).
+Listener = Callable[[int, int, int, int], None]
 
 
 class Bus:
@@ -60,10 +43,8 @@ class Bus:
     def detach(self, listener: Listener) -> None:
         self._listeners.remove(listener)
 
-    def transaction(self, time_cycles: int, cpu: int, addr: int, op: BusOp) -> None:
+    def transaction(self, time_cycles: int, cpu: int, addr: int, op: int) -> None:
         """Issue one transaction and notify all snoopers."""
         self.transaction_count += 1
-        if self._listeners:
-            txn = BusTransaction(time_cycles, cpu, addr, op)
-            for listener in self._listeners:
-                listener(txn)
+        for listener in self._listeners:
+            listener(time_cycles, cpu, addr, op)

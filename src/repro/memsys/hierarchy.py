@@ -13,7 +13,7 @@ paper's monitor, and our modelled monitor, cannot see those.
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import List
 
 from repro.common.params import MachineParams
 from repro.memsys.cache import Cache, EMPTY
@@ -37,17 +37,6 @@ class CpuCacheHierarchy:
         self.icache = Cache(params.icache)
         self.dl1 = Cache(params.dcache_l1)
         self.dl2 = Cache(params.dcache_l2)
-
-    # ------------------------------------------------------------------
-    # Instruction side
-    # ------------------------------------------------------------------
-    def ifetch(self, block: int) -> Optional[int]:
-        """Fetch one instruction block.
-
-        Returns ``None`` on a hit; on a miss, the evicted I-cache block
-        (or ``EMPTY`` if the line was free).
-        """
-        return self.icache.access(block)
 
     # ------------------------------------------------------------------
     # Data side

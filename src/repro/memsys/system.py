@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from repro.common.params import MachineParams
 from repro.common.types import RefDomain
-from repro.memsys.bus import Bus, BusOp
+from repro.memsys.bus import OP_READ, OP_UNCACHED, OP_WRITE, Bus
 from repro.memsys.cache import EMPTY
 from repro.memsys.hierarchy import AccessOutcome, CpuCacheHierarchy
 from repro.memsys.memory import PhysicalMemory
@@ -133,7 +133,7 @@ class MemorySystem:
             self.truth.record_eviction(cpu, INSTR, victim, domain, app_epoch)
         self.truth.classify_and_record(time_cycles, cpu, INSTR, block, domain, app_epoch)
         self.bus_reads += 1
-        self.bus.transaction(time_cycles, cpu, block * self.block_bytes, BusOp.READ)
+        self.bus.transaction(time_cycles, cpu, block * self.block_bytes, OP_READ)
         return self.params.bus_stall_cycles
 
     # ------------------------------------------------------------------
@@ -186,7 +186,7 @@ class MemorySystem:
         if owner != SHARED and owner != cpu:
             self._owner.pop(block, None)
         self.bus_reads += 1
-        self.bus.transaction(time_cycles, cpu, block * self.block_bytes, BusOp.READ)
+        self.bus.transaction(time_cycles, cpu, block * self.block_bytes, OP_READ)
         if self.checker is not None:
             self.checker.after_data_read(time_cycles, cpu, block)
         return self.params.bus_stall_cycles
@@ -270,7 +270,7 @@ class MemorySystem:
             self._owner[block] = cpu
             self.bus_writes += 1
             self.bus.transaction(
-                time_cycles, cpu, block * self.block_bytes, BusOp.WRITE
+                time_cycles, cpu, block * self.block_bytes, OP_WRITE
             )
             stall += self.params.bus_stall_cycles
             transacted = True
@@ -477,7 +477,7 @@ class MemorySystem:
             return self.params.bus_stall_cycles
         self.truth.record_uncached(domain)
         self.bus_uncached += 1
-        self.bus.transaction(time_cycles, cpu, addr, BusOp.UNCACHED_READ)
+        self.bus.transaction(time_cycles, cpu, addr, OP_UNCACHED)
         return self.params.bus_stall_cycles
 
     # ------------------------------------------------------------------

@@ -55,22 +55,6 @@ class _CpuCacheTruth:
         self.evicted_by: Dict[int, Tuple[RefDomain, int]] = {}
         self.invalidated: set = set()
 
-    def classify(self, block: int, app_epoch: int) -> Tuple[MissClass, bool]:
-        if block in self.invalidated:
-            # Caller maps this to SHARING (data) or INVAL (instructions).
-            return MissClass.SHARING, False
-        if block not in self.ever_cached:
-            return MissClass.COLD, False
-        displaced = self.evicted_by.get(block)
-        if displaced is None:
-            # Was cached, never explicitly displaced or invalidated. This
-            # happens only if classification state was reset; treat as cold.
-            return MissClass.COLD, False
-        domain, epoch = displaced
-        if domain is RefDomain.OS:
-            return MissClass.DISPOS, epoch == app_epoch
-        return MissClass.DISPAP, False
-
     def on_invalidation(self, block: int) -> None:
         self.invalidated.add(block)
         self.evicted_by.pop(block, None)
@@ -119,9 +103,25 @@ class GroundTruth:
         app_epoch: int,
     ) -> Tuple[MissClass, bool]:
         truth = (self._instr if kind == INSTR else self._data)[cpu]
-        miss_class, dispossame = truth.classify(block, app_epoch)
-        if miss_class is MissClass.SHARING and kind == INSTR:
-            miss_class = MissClass.INVAL
+        dispossame = False
+        if block in truth.invalidated:
+            # Removed by an invalidation: a coherence write for data, an
+            # explicit flush for instructions.
+            miss_class = MissClass.INVAL if kind == INSTR else MissClass.SHARING
+        elif block not in truth.ever_cached:
+            miss_class = MissClass.COLD
+        else:
+            displaced = truth.evicted_by.get(block)
+            if displaced is None:
+                # Was cached, never explicitly displaced or invalidated.
+                # This happens only if classification state was reset;
+                # treat as cold.
+                miss_class = MissClass.COLD
+            elif displaced[0] is RefDomain.OS:
+                miss_class = MissClass.DISPOS
+                dispossame = displaced[1] == app_epoch
+            else:
+                miss_class = MissClass.DISPAP
         self.counts[(domain, kind, miss_class)] += 1
         if dispossame:
             self.dispossame_counts[(domain, kind)] += 1

@@ -16,17 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
-from repro.memsys.bus import Bus, BusOp, BusTransaction
+from repro.memsys.bus import OP_READ, OP_UNCACHED, OP_WRITE, Bus
 
-OP_READ = 0
-OP_WRITE = 1
-OP_UNCACHED = 2
-
-_OP_CODE = {
-    BusOp.READ: OP_READ,
-    BusOp.WRITE: OP_WRITE,
-    BusOp.UNCACHED_READ: OP_UNCACHED,
-}
+__all__ = [
+    "BufferOverflow", "HardwareMonitor", "OP_READ", "OP_UNCACHED", "OP_WRITE",
+    "Trace", "TraceEntry", "TraceSegment",
+]
 
 TraceEntry = Tuple[int, int, int, int]  # (tick, cpu, addr, op)
 
@@ -106,19 +101,19 @@ class HardwareMonitor:
     # ------------------------------------------------------------------
     # Bus listener
     # ------------------------------------------------------------------
-    def _snoop(self, txn: BusTransaction) -> None:
+    def _snoop(self, time_cycles: int, cpu: int, addr: int, op: int) -> None:
         if not self.recording:
             return
-        buffer = self._segment.entries
+        segment = self._segment
+        buffer = segment.entries
         if len(buffer) >= self.capacity:
             if self.strict_capacity:
                 raise BufferOverflow(
                     f"trace buffer overflowed at {self.capacity} entries"
                 )
             self.dropped += 1
-        tick = int(txn.time_cycles / self._cycles_per_tick)
-        buffer.append((tick, txn.cpu, txn.addr, _OP_CODE[txn.op]))
-        self._segment.end_cycles = txn.time_cycles
+        buffer.append((int(time_cycles / self._cycles_per_tick), cpu, addr, op))
+        segment.end_cycles = time_cycles
 
     # ------------------------------------------------------------------
     # Control (exercised by the master process)

@@ -55,7 +55,7 @@ def emit_and_capture(emit):
     params = MachineParams()
     memsys = MemorySystem(params)
     captured = []
-    memsys.bus.attach(lambda txn: captured.append((txn.cpu, txn.addr)))
+    memsys.bus.attach(lambda _t, cpu, addr, _op: captured.append((cpu, addr)))
     proc = Processor(2, params, memsys)
     emit(Instrumentation(), proc)
     return captured

@@ -12,21 +12,21 @@ def make_hierarchy() -> CpuCacheHierarchy:
 class TestInstructionSide:
     def test_first_fetch_misses(self):
         h = make_hierarchy()
-        assert h.ifetch(100) == EMPTY
+        assert h.icache.access(100) == EMPTY
 
     def test_refetch_hits(self):
         h = make_hierarchy()
-        h.ifetch(100)
-        assert h.ifetch(100) is None
+        h.icache.access(100)
+        assert h.icache.access(100) is None
 
     def test_conflict_eviction(self):
         h = make_hierarchy()
-        h.ifetch(100)
-        assert h.ifetch(100 + 4096) == 100  # 64KB/16B = 4096 sets
+        h.icache.access(100)
+        assert h.icache.access(100 + 4096) == 100  # 64KB/16B = 4096 sets
 
     def test_instr_resident(self):
         h = make_hierarchy()
-        h.ifetch(100)
+        h.icache.access(100)
         assert h.instr_resident(100)
         assert not h.instr_resident(101)
 
@@ -91,7 +91,7 @@ class TestInstrRangeInvalidation:
     def test_range_flush(self):
         h = make_hierarchy()
         for block in range(10, 20):
-            h.ifetch(block)
+            h.icache.access(block)
         flushed = h.invalidate_instr_range(12, 4)
         assert flushed == [12, 13, 14, 15]
         assert not h.instr_resident(12)

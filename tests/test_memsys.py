@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.types import MissClass, RefDomain
-from repro.memsys.bus import BusOp
 from repro.memsys.system import MemorySystem
 from repro.memsys.tracking import DATA, INSTR
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.memsys.bus import Bus, BusOp
+from repro.memsys.bus import OP_READ, OP_WRITE, Bus
 from repro.monitor.hwmonitor import BufferOverflow, HardwareMonitor
 from repro.monitor.master import MasterConfig, MasterTracer
 
@@ -16,13 +16,13 @@ def make_monitor(capacity=100, strict=False):
 class TestRecording:
     def test_not_recording_by_default(self):
         bus, monitor = make_monitor()
-        bus.transaction(0, 0, 0x100, BusOp.READ)
+        bus.transaction(0, 0, 0x100, OP_READ)
         assert len(monitor.trace) == 0
 
     def test_records_when_started(self):
         bus, monitor = make_monitor()
         monitor.start(0)
-        bus.transaction(10, 2, 0x100, BusOp.READ)
+        bus.transaction(10, 2, 0x100, OP_READ)
         monitor.stop(20)
         entries = list(monitor.trace.all_entries())
         assert entries == [(5, 2, 0x100, 0)]  # 10 cycles = 5 ticks
@@ -30,7 +30,7 @@ class TestRecording:
     def test_timestamp_quantization(self):
         bus, monitor = make_monitor()
         monitor.start(0)
-        bus.transaction(61, 0, 0x10, BusOp.WRITE)
+        bus.transaction(61, 0, 0x10, OP_WRITE)
         monitor.stop(100)
         (tick, _, _, op), = monitor.trace.all_entries()
         assert tick == 30  # 61 cycles / 2 cycles-per-tick
@@ -39,10 +39,10 @@ class TestRecording:
     def test_segments_accumulate(self):
         bus, monitor = make_monitor()
         monitor.start(0)
-        bus.transaction(1, 0, 0x10, BusOp.READ)
+        bus.transaction(1, 0, 0x10, OP_READ)
         monitor.stop(10)
         monitor.start(100)
-        bus.transaction(101, 0, 0x20, BusOp.READ)
+        bus.transaction(101, 0, 0x20, OP_READ)
         monitor.stop(110)
         assert len(monitor.trace.segments) == 2
         assert len(monitor.trace) == 2
@@ -57,22 +57,22 @@ class TestRecording:
         bus, monitor = make_monitor(capacity=10)
         monitor.start(0)
         for i in range(5):
-            bus.transaction(i, 0, i * 16, BusOp.READ)
+            bus.transaction(i, 0, i * 16, OP_READ)
         assert monitor.fill_fraction() == pytest.approx(0.5)
 
     def test_strict_overflow_raises(self):
         bus, monitor = make_monitor(capacity=2, strict=True)
         monitor.start(0)
-        bus.transaction(0, 0, 0, BusOp.READ)
-        bus.transaction(1, 0, 16, BusOp.READ)
+        bus.transaction(0, 0, 0, OP_READ)
+        bus.transaction(1, 0, 16, OP_READ)
         with pytest.raises(BufferOverflow):
-            bus.transaction(2, 0, 32, BusOp.READ)
+            bus.transaction(2, 0, 32, OP_READ)
 
     def test_forgiving_overflow_counts_drops(self):
         bus, monitor = make_monitor(capacity=2)
         monitor.start(0)
         for i in range(4):
-            bus.transaction(i, 0, i * 16, BusOp.READ)
+            bus.transaction(i, 0, i * 16, OP_READ)
         assert monitor.dropped == 2
 
 
@@ -88,7 +88,7 @@ class TestMasterTracer:
     def test_below_threshold_no_dump(self):
         bus, monitor, master = self.make()
         master.start(0)
-        bus.transaction(1, 0, 0x10, BusOp.READ)
+        bus.transaction(1, 0, 0x10, OP_READ)
         assert master.service(100) == 0
         assert master.dumps == 0
 
@@ -96,7 +96,7 @@ class TestMasterTracer:
         bus, monitor, master = self.make(capacity=10, threshold=0.5)
         master.start(0)
         for i in range(6):
-            bus.transaction(i, 0, i * 16, BusOp.READ)
+            bus.transaction(i, 0, i * 16, OP_READ)
         suspend = master.service(1000)
         assert suspend > 0
         assert master.dumps == 1
@@ -119,13 +119,13 @@ class TestMasterTracer:
             now += 40
             if master.due(now):
                 now += master.service(now)
-            bus.transaction(now, 0, (i % 64) * 16, BusOp.READ)
+            bus.transaction(now, 0, (i % 64) * 16, OP_READ)
         assert master.dumps > 0
 
     def test_finish_closes_segment(self):
         bus, monitor, master = self.make()
         master.start(0)
-        bus.transaction(1, 0, 0x10, BusOp.READ)
+        bus.transaction(1, 0, 0x10, OP_READ)
         master.finish(500)
         assert not monitor.recording
         assert len(monitor.trace.segments) == 1

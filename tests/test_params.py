@@ -1,8 +1,11 @@
 """MachineParams / CacheGeometry validation."""
 
+import dataclasses
+
 import pytest
 
-from repro.common.params import CacheGeometry, MachineParams
+from repro.common.params import CYCLES_PER_TICK, CacheGeometry, MachineParams
+from repro.machines import MACHINES, resolve_machine
 
 
 class TestCacheGeometry:
@@ -72,3 +75,22 @@ class TestMachineParams:
 
     def test_custom_cpu_count(self):
         assert MachineParams(num_cpus=8).num_cpus == 8
+
+    @pytest.mark.parametrize(
+        "overrides", [{"cycle_ns": 25.0}, {"monitor_tick_ns": 90.0}]
+    )
+    def test_rejects_cycles_per_tick_the_analysis_cannot_decode(self, overrides):
+        # The analysis converts cycles to monitor ticks with the fixed
+        # CYCLES_PER_TICK; any other ratio would shift its window.
+        with pytest.raises(ValueError, match="monitor_tick_ns"):
+            MachineParams(**overrides)
+
+    def test_accepts_a_faster_clock_with_its_tick(self):
+        params = MachineParams(cycle_ns=25.0, monitor_tick_ns=50.0)
+        assert params.monitor_tick_ns == CYCLES_PER_TICK * params.cycle_ns
+
+    @pytest.mark.parametrize("name", sorted(MACHINES))
+    def test_every_preset_constructs(self, name):
+        params = dataclasses.replace(MACHINES[name].params)
+        assert params == resolve_machine(name)
+        assert params.monitor_tick_ns == CYCLES_PER_TICK * params.cycle_ns

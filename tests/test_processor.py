@@ -201,7 +201,7 @@ def _machine(num_cpus, assoc, atomic, probed):
     memsys = MemorySystem(params, record_events=True)
     memsys.atomic = atomic
     txns = []
-    memsys.bus.attach(txns.append)
+    memsys.bus.attach(lambda *txn: txns.append(txn))
     probes = []
     procs = [Processor(c, params, memsys) for c in range(num_cpus)]
     if probed:
