@@ -13,9 +13,7 @@ Machine selection is first-class: pass ``machine="cpus16"`` (a preset
 name from :mod:`repro.machines`, or a full :class:`MachineParams`) to
 :func:`run`, :func:`report` and :func:`exhibit` to target a scaled
 geometry; the 4D/340 (``"4d340"``) stays the default and keys
-identically to pre-preset runs. Bare ``params=`` still works but emits
-``DeprecationWarning`` — it bypasses the preset registry and therefore
-the named cache keys.
+identically to pre-preset runs.
 
 :func:`run` and :func:`report` validate their keyword arguments against
 :class:`RunSettings` plus the :class:`Simulation` constructor, so a typo
@@ -35,15 +33,11 @@ throughout (no stall accounting, incompatible with ``check=``, raises
 :class:`UnsupportedFidelityError`). :func:`validate_workload` measures
 the mixed tier's statistical drift against a detailed run and asserts
 the configured error bounds.
-
-The old deep-import paths (``repro.sim.session``,
-``repro.experiments.base``) still work but emit ``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
 from typing import Optional, Union
 
 from repro.analysis.report import AnalysisReport, analyze_trace
@@ -115,13 +109,14 @@ __all__ = [
 ]
 
 # Keywords run()/report() accept: the RunSettings fields (horizon_ms,
-# warmup_ms, seed, check) plus the Simulation constructor's keyword
-# parameters (params, tuning, layout, ...). Computed once at import.
+# warmup_ms, seed, check, ...) plus the Simulation constructor's keyword
+# parameters (tuning, layout, ...) except ``params``, which ``machine``
+# replaces. Computed once at import.
 _SETTINGS_FIELDS = frozenset(RunSettings.__dataclass_fields__)
 _SIM_KWARGS = frozenset(
     name
     for name, p in inspect.signature(Simulation.__init__).parameters.items()
-    if name not in ("self", "workload", "seed")
+    if name not in ("self", "workload", "seed", "params")
     and p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
 )
 _VALID_KWARGS = _SETTINGS_FIELDS | _SIM_KWARGS
@@ -130,9 +125,10 @@ _VALID_KWARGS = _SETTINGS_FIELDS | _SIM_KWARGS
 def _validate(settings: dict) -> None:
     unknown = sorted(set(settings) - _VALID_KWARGS)
     if unknown:
+        hint = "; pick a geometry with machine=" if "params" in unknown else ""
         raise TypeError(
             f"unknown setting(s) {', '.join(map(repr, unknown))}; "
-            f"valid names: {', '.join(sorted(_VALID_KWARGS))}"
+            f"valid names: {', '.join(sorted(_VALID_KWARGS))}{hint}"
         )
 
 
@@ -150,21 +146,12 @@ def run(
     arguments (``machine``, ``tuning``, ``layout``, ...); anything else
     raises :class:`TypeError` listing the valid names. ``machine`` is a
     preset name from :data:`MACHINES` (``"cpus16"``) or a full
-    :class:`MachineParams`; bare ``params=`` is deprecated. With
+    :class:`MachineParams`. With
     ``check=True`` the sanitizers run and ``run.check_report`` carries
     their verdict; ``check="deep"`` additionally attributes
     ``dread_block``/``dwrite_block`` sweeps to kernel structures.
     """
     _validate(settings)
-    if "params" in settings:
-        warnings.warn(
-            "params= is deprecated; pass machine= "
-            "(a preset name or MachineParams)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if machine is not None:
-            raise TypeError("pass machine= or params=, not both")
     if machine is not None:
         settings["machine"] = machine
     defaults = RunSettings()

@@ -1,13 +1,16 @@
-"""Experiment infrastructure: shared runs and exhibit formatting."""
+"""Experiment infrastructure: run settings, shared runs and exhibit formatting."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.report import AnalysisReport, analyze_trace
+from repro.fidelity import validate_fidelity
 from repro.machines import DEFAULT_MACHINE, MachineSpec, canonical_machine
+from repro.sanitizers import check_enabled_by_env, deep_check_enabled_by_env
 from repro.sim.runcache import RunCache, load_or_run
 from repro.sim._session import TracedRun
 from repro.workloads import canonical_workload_args
@@ -16,6 +19,12 @@ from repro.workloads import canonical_workload_args
 # "schema_version" field itself (version-1 payloads carry none);
 # from_dict() accepts both.
 EXHIBIT_SCHEMA_VERSION = 2
+
+
+# The RunSettings fields that are Simulation keyword arguments. Each one
+# changes a run's bytes, so each keys runs, exhibits and service jobs
+# whenever it differs from its default.
+_ENGINE_FIELDS = ("check", "fidelity", "fast_forward", "machine", "workload_args")
 
 
 @dataclass(frozen=True)
@@ -27,53 +36,85 @@ class RunSettings:
     mixing) while keeping a full experiment sweep to minutes of host
     time. Individual experiments override where they need to (e.g.
     Figure 11 sweeps CPU counts with a shorter window).
+
+    This is the one place run settings are resolved: construction
+    validates and canonicalizes the engine fields and folds
+    ``REPRO_CHECK`` into ``check``, and :meth:`sim_kwargs` is what every
+    run, cache key, service job and experiment reads.
     """
 
     horizon_ms: float = 80.0
     warmup_ms: float = 500.0
     seed: int = 7
     # Run with the repro.sanitizers invariant checkers installed
-    # (``--check`` / ``REPRO_CHECK=1``). Part of the frozen settings so
-    # exhibit cache keys (repr-based) distinguish checked runs too.
-    check: bool = False
+    # (``--check`` / ``REPRO_CHECK=1``); ``"deep"`` also attributes block
+    # sweeps (``--check-deep`` / ``REPRO_CHECK=deep``).
+    check: Union[bool, str] = False
     # Engine fidelity tier (``--fidelity`` / ``REPRO_FIDELITY``) and the
     # mixed tier's atomic reference budget (``--fast-forward`` /
-    # ``REPRO_FAST_FORWARD``). These change the run's bytes, so
-    # non-default values enter cache keys.
+    # ``REPRO_FAST_FORWARD``).
     fidelity: str = "detailed"
     fast_forward: int = 0
     # Machine geometry (``--machine`` / ``--cpus`` / ``REPRO_MACHINE``):
-    # a preset name from :mod:`repro.machines` or a full MachineParams.
-    # Like fidelity, a non-default machine changes the run's bytes, so
-    # it enters cache keys — canonicalized so a preset's name and its
-    # literal params key identically, and so the 4d340 default keeps
-    # every legacy key byte-identical.
+    # a preset name from :mod:`repro.machines` or a full MachineParams,
+    # canonicalized so a preset's name and its literal params are equal.
     machine: MachineSpec = DEFAULT_MACHINE
-    # Workload tuning knobs (``--workload-arg k=v`` / ``?workload_arg=``):
-    # canonicalized to a sorted (name, value) pair tuple. Tuned runs are
-    # different runs, so non-empty args enter cache keys; the empty
-    # default normalizes away and keeps every existing key byte-identical.
+    # Workload tuning knobs (``--workload-arg k=v`` / ``?workload_arg=``),
+    # canonicalized to a sorted (name, value) pair tuple.
     workload_args: tuple = ()
+
+    def __post_init__(self) -> None:
+        # Simulation installs the sanitizers whenever REPRO_CHECK is set,
+        # so the environment is part of the settings, not a side channel.
+        check = self.check
+        if deep_check_enabled_by_env():
+            check = "deep"
+        elif check_enabled_by_env() and not check:
+            check = True
+        if check not in (False, True, "deep"):
+            raise ValueError(
+                f"check must be True, False or 'deep', not {self.check!r}"
+            )
+        fast_forward = int(self.fast_forward)
+        if fast_forward < 0:
+            raise ValueError("fast_forward must be >= 0")
+        canonical = {
+            "check": check if check == "deep" else bool(check),
+            "fidelity": validate_fidelity(self.fidelity),
+            "fast_forward": fast_forward,
+            "machine": canonical_machine(self.machine),
+            "workload_args": canonical_workload_args(self.workload_args),
+        }
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)
+
+    def sim_kwargs(self) -> Dict[str, Any]:
+        """The engine fields that differ from their defaults, as
+        :class:`~repro.sim._session.Simulation` keyword arguments.
+
+        Run keys, exhibit keys, service jobs and the experiments that
+        build their own Simulation all read the engine settings here.
+        Defaults are left out, which keeps every key made before a field
+        existed byte-identical.
+        """
+        return {
+            name: getattr(self, name)
+            for name, default in _ENGINE_DEFAULTS.items()
+            if getattr(self, name) != default
+        }
 
     def cache_repr(self) -> str:
         """The repr used for exhibit cache keys.
 
-        Renders the original four-field dataclass repr byte for byte, so
-        default-settings keys never change. The fields added since
-        append only at non-default values: they change output, so they
-        must key distinctly.
+        Renders the original four-field dataclass repr byte for byte,
+        then the other non-default engine fields in field order, so
+        default-settings keys never change.
         """
-        extra = ""
-        if self.fidelity != "detailed":
-            extra += f", fidelity={self.fidelity!r}"
-        if self.fast_forward:
-            extra += f", fast_forward={self.fast_forward!r}"
-        machine = canonical_machine(self.machine)
-        if machine != DEFAULT_MACHINE:
-            extra += f", machine={machine!r}"
-        workload_args = canonical_workload_args(self.workload_args)
-        if workload_args:
-            extra += f", workload_args={workload_args!r}"
+        extra = "".join(
+            f", {name}={value!r}"
+            for name, value in self.sim_kwargs().items()
+            if name != "check"
+        )
         return (
             f"RunSettings(horizon_ms={self.horizon_ms!r}, "
             f"warmup_ms={self.warmup_ms!r}, seed={self.seed!r}, "
@@ -81,15 +122,21 @@ class RunSettings:
         )
 
 
+_ENGINE_DEFAULTS = {
+    name: RunSettings.__dataclass_fields__[name].default
+    for name in _ENGINE_FIELDS
+}
+
+
 class ExperimentContext:
     """Caches one traced run + analysis per workload per settings.
 
-    Two cache layers: an in-memory dict (one entry per workload per
-    override set, exactly as before), and — when a :class:`RunCache` is
-    supplied — the persistent on-disk store, so a fresh process reloads
-    finished runs instead of re-simulating them. Both layers are
-    transparent: a context with a warm disk cache hands out runs and
-    reports byte-identical to a cold serial context.
+    Two cache layers, both keyed by the resolved :class:`RunSettings`:
+    an in-memory dict, and — when a :class:`RunCache` is supplied — the
+    persistent on-disk store, so a fresh process reloads finished runs
+    instead of re-simulating them. Both layers are transparent: a
+    context with a warm disk cache hands out runs and reports
+    byte-identical to a cold serial context.
     """
 
     def __init__(
@@ -102,21 +149,23 @@ class ExperimentContext:
         # Benchmarks flip this off: they want cached *runs* (shared
         # input state) but must still time the exhibit derivations.
         self.cache_exhibits = True
-        self._runs: Dict[Tuple, TracedRun] = {}
-        self._reports: Dict[Tuple, AnalysisReport] = {}
+        self._runs: Dict[Tuple[str, RunSettings], TracedRun] = {}
+        self._reports: Dict[Tuple[str, RunSettings], AnalysisReport] = {}
         self.exhibit_cache: Dict[str, "Exhibit"] = {}
-        # Runs the ablation experiments simulate privately (machine
-        # variants the shared run cache never sees). Registered so
-        # checked-mode reporting covers them too.
+        # Checked runs the experiments simulate privately, kept so the
+        # CLI's --check report covers them too.
         self.private_runs: List[TracedRun] = []
 
-    def _resolved(self, overrides: Dict):
-        """Split overrides into (horizon, warmup, seed, sim kwargs).
+    def _settings_for(self, overrides: Dict) -> RunSettings:
+        """This context's settings with ``overrides`` applied.
 
         Only :class:`RunSettings` fields may be overridden; an unknown
         key raises instead of being silently forwarded (a typo'd
         ``horizon`` used to produce a run with default settings).
         """
+        if not overrides:
+            # Every lookup of an exhibit derivation: already resolved.
+            return self.settings
         valid = RunSettings.__dataclass_fields__
         unknown = sorted(set(overrides) - set(valid))
         if unknown:
@@ -124,52 +173,15 @@ class ExperimentContext:
                 f"unknown override(s) {', '.join(map(repr, unknown))} for "
                 f"ExperimentContext; valid names: {', '.join(valid)}"
             )
-        horizon = overrides.get("horizon_ms", self.settings.horizon_ms)
-        warmup = overrides.get("warmup_ms", self.settings.warmup_ms)
-        seed = overrides.get("seed", self.settings.seed)
-        check = overrides.get("check", self.settings.check)
-        fidelity = overrides.get("fidelity", self.settings.fidelity)
-        fast_forward = overrides.get("fast_forward", self.settings.fast_forward)
-        machine = canonical_machine(
-            overrides.get("machine", self.settings.machine)
-        )
-        workload_args = canonical_workload_args(
-            overrides.get("workload_args", self.settings.workload_args)
-        )
-        # Unchecked runs keep sim_kwargs == {} so PR-1 cache keys (and
-        # the byte-identity smoke) are untouched; the same discipline
-        # keeps default-fidelity and default-machine keys identical to
-        # the keys from before those knobs existed.
-        sim_kwargs = {"check": check} if check else {}
-        if fidelity != "detailed":
-            sim_kwargs["fidelity"] = fidelity
-        if fast_forward:
-            sim_kwargs["fast_forward"] = fast_forward
-        if machine != DEFAULT_MACHINE:
-            sim_kwargs["machine"] = machine
-        if workload_args:
-            sim_kwargs["workload_args"] = workload_args
-        return horizon, warmup, seed, sim_kwargs
-
-    @staticmethod
-    def _memory_key(workload: str, overrides: Dict) -> Tuple:
-        """In-memory cache key; ``workload_args`` is canonicalized so a
-        dict and its pair-tuple form key (and hash) identically."""
-        items = []
-        for k, v in overrides.items():
-            if k == "workload_args":
-                v = canonical_workload_args(v)
-                if not v:
-                    continue
-            items.append((k, v))
-        return (workload, tuple(sorted(items)))
+        return dataclasses.replace(self.settings, **overrides)
 
     def run(self, workload: str, **overrides) -> TracedRun:
-        key = self._memory_key(workload, overrides)
+        settings = self._settings_for(overrides)
+        key = (workload, settings)
         if key not in self._runs:
-            horizon, warmup, seed, sim_kwargs = self._resolved(overrides)
             run, report = load_or_run(
-                self.cache, workload, horizon, warmup, seed, sim_kwargs
+                self.cache, workload, settings.horizon_ms,
+                settings.warmup_ms, settings.seed, settings.sim_kwargs(),
             )
             self._runs[key] = run
             if report is not None:
@@ -177,9 +189,9 @@ class ExperimentContext:
         return self._runs[key]
 
     def report(self, workload: str, **overrides) -> AnalysisReport:
-        key = self._memory_key(workload, overrides)
+        settings = self._settings_for(overrides)
+        key = (workload, settings)
         if key not in self._reports:
-            horizon, warmup, seed, sim_kwargs = self._resolved(overrides)
             if key in self._runs:
                 # Run already in memory (possibly mid-upgrade from a
                 # report-less disk entry): analyze it and persist the
@@ -188,12 +200,14 @@ class ExperimentContext:
                 report = analyze_trace(run)
                 if self.cache is not None:
                     cache_key = self.cache.run_key(
-                        workload, horizon, warmup, seed, sim_kwargs
+                        workload, settings.horizon_ms, settings.warmup_ms,
+                        settings.seed, settings.sim_kwargs(),
                     )
                     self.cache.store(cache_key, {"run": run, "report": report})
             else:
                 run, report = load_or_run(
-                    self.cache, workload, horizon, warmup, seed, sim_kwargs,
+                    self.cache, workload, settings.horizon_ms,
+                    settings.warmup_ms, settings.seed, settings.sim_kwargs(),
                     analyze=True,
                 )
                 self._runs[key] = run
@@ -201,8 +215,14 @@ class ExperimentContext:
         return self._reports[key]
 
     def note_private_run(self, run: TracedRun) -> TracedRun:
-        """Register an experiment-private run for sanitizer reporting."""
-        self.private_runs.append(run)
+        """Register an experiment-private run for sanitizer reporting.
+
+        Only a checked run is kept: the ``--check`` report is the one
+        reader of :meth:`all_runs`, and holding an unchecked run for the
+        context's whole life would only pin its memory.
+        """
+        if run.simulation.checks is not None:
+            self.private_runs.append(run)
         return run
 
     def all_runs(self) -> List[TracedRun]:
@@ -281,9 +301,7 @@ class Exhibit:
             lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
         for note in self.notes:
             lines.append(f"  note: {note}")
-        # getattr: exhibits unpickled from pre-coverage cache entries
-        # have no such attribute.
-        for line in getattr(self, "check_coverage", ()) or ():
+        for line in self.check_coverage:
             lines.append(f"  check: {line}")
         return "\n".join(lines)
 
@@ -306,9 +324,8 @@ class Exhibit:
             "rows": [list(row) for row in self.rows],
             "notes": list(self.notes),
         }
-        coverage = getattr(self, "check_coverage", None)
-        if coverage:
-            payload["check_coverage"] = list(coverage)
+        if self.check_coverage:
+            payload["check_coverage"] = list(self.check_coverage)
         return payload
 
     def to_json(self, indent: Optional[int] = None) -> str:

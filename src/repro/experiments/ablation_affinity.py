@@ -8,13 +8,12 @@ workload — with and without it.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.analysis.report import analyze_trace
 from repro.experiments._base import Exhibit, ExperimentContext
 from repro.experiments.derive import migration_misses
-from repro.kernel.kernel import KernelTuning
-from repro.kernel.vm import VmTuning
-from repro.sim.config import CALIBRATIONS
-from repro.sim._session import Simulation
+from repro.sim._session import Simulation, default_tuning
 
 EXHIBIT_ID = "ablation-affinity"
 TITLE = "Cache-affinity scheduling vs the IRIX default (Multpgm)"
@@ -22,23 +21,9 @@ TITLE = "Cache-affinity scheduling vs the IRIX default (Multpgm)"
 _COLUMNS = ("metric", "default", "affinity", "change%")
 
 
-def _run(ctx: ExperimentContext, affinity: bool):
-    settings = ctx.settings
-    calibration = CALIBRATIONS["multpgm"]
-    tuning = KernelTuning(
-        quantum_ms=calibration.quantum_ms,
-        affinity_scheduling=affinity,
-        vm=VmTuning(baseline_frames=calibration.baseline_frames),
-    )
-    sim = Simulation(
-        "multpgm", seed=settings.seed, tuning=tuning, check=settings.check
-    )
-    run = ctx.note_private_run(
-        sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)
-    )
-    report = analyze_trace(run, keep_imiss_stream=False)
-    sched = sim.kernel.scheduler
-    return run, {
+def _metrics(run, report) -> dict:
+    sched = run.kernel.scheduler
+    return {
         "context switches": sched.context_switches,
         "migrations": sched.migrations,
         "migration D-misses": migration_misses(report.analysis)["total"],
@@ -47,10 +32,28 @@ def _run(ctx: ExperimentContext, affinity: bool):
     }
 
 
+def _affinity_run(ctx: ExperimentContext):
+    """Multpgm at the context's settings with affinity scheduling on."""
+    settings = ctx.settings
+    tuning = dataclasses.replace(
+        default_tuning("multpgm", settings.machine), affinity_scheduling=True
+    )
+    sim = Simulation(
+        "multpgm", seed=settings.seed, tuning=tuning, **settings.sim_kwargs()
+    )
+    return ctx.note_private_run(
+        sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)
+    )
+
+
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
-    default_run, default = _run(ctx, affinity=False)
-    affinity_run, affinity = _run(ctx, affinity=True)
+    default_run = ctx.run("multpgm")
+    default = _metrics(default_run, ctx.report("multpgm"))
+    affinity_run = _affinity_run(ctx)
+    affinity = _metrics(
+        affinity_run, analyze_trace(affinity_run, keep_imiss_stream=False)
+    )
     exhibit.add_check_coverage(default_run, affinity_run)
     for metric in default:
         a, b = default[metric], affinity[metric]

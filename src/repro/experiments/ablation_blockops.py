@@ -9,13 +9,12 @@ each and compares the OS data-miss picture.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.analysis.report import analyze_trace
 from repro.experiments._base import Exhibit, ExperimentContext
 from repro.experiments.derive import blockop_miss_total, os_misses
-from repro.kernel.kernel import KernelTuning
-from repro.kernel.vm import VmTuning
-from repro.sim.config import CALIBRATIONS
-from repro.sim._session import Simulation
+from repro.sim._session import Simulation, default_tuning
 
 EXHIBIT_ID = "ablation-blockops"
 TITLE = "Block operations: default vs cache bypass vs prefetch (Pmake)"
@@ -48,15 +47,13 @@ def _actual_stall_pct(processors) -> float:
 
 def _run_mode(ctx: ExperimentContext, cache_bypass: bool, prefetch: bool):
     settings = ctx.settings
-    calibration = CALIBRATIONS["pmake"]
-    tuning = KernelTuning(
-        quantum_ms=calibration.quantum_ms,
+    tuning = dataclasses.replace(
+        default_tuning("pmake", settings.machine),
         blockop_cache_bypass=cache_bypass,
         blockop_prefetch=prefetch,
-        vm=VmTuning(baseline_frames=calibration.baseline_frames),
     )
     sim = Simulation(
-        "pmake", seed=settings.seed, tuning=tuning, check=settings.check
+        "pmake", seed=settings.seed, tuning=tuning, **settings.sim_kwargs()
     )
     run = ctx.note_private_run(
         sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)

@@ -40,7 +40,7 @@ def build(ctx: ExperimentContext) -> Exhibit:
 
     sim = Simulation(
         "pmake", seed=settings.seed, layout=plan.build(),
-        check=settings.check,
+        **settings.sim_kwargs(),
     )
     opt_run = ctx.note_private_run(
         sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)

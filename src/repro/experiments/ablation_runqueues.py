@@ -9,13 +9,12 @@ Runqlk contention (the Figure 11 metric) and migrations.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.analysis.lockstats import failed_acquires_per_ms
-from repro.common.params import MachineParams
 from repro.experiments._base import Exhibit, ExperimentContext
-from repro.kernel.kernel import KernelTuning
-from repro.kernel.vm import VmTuning
-from repro.sim.config import CALIBRATIONS
-from repro.sim._session import Simulation
+from repro.machines import resolve_machine
+from repro.sim._session import Simulation, default_tuning
 
 EXHIBIT_ID = "ablation-runqueues"
 TITLE = "Global vs distributed run queues on 8 CPUs (Multpgm)"
@@ -28,15 +27,17 @@ NUM_CLUSTERS = 4
 
 def _run(ctx: ExperimentContext, num_queues: int):
     settings = ctx.settings
-    calibration = CALIBRATIONS["multpgm"]
-    tuning = KernelTuning(
-        quantum_ms=calibration.quantum_ms,
-        num_run_queues=num_queues,
-        vm=VmTuning(baseline_frames=calibration.baseline_frames),
+    tuning = dataclasses.replace(
+        default_tuning("multpgm"), num_run_queues=num_queues
+    )
+    # The context's machine geometry at this experiment's CPU count.
+    engine = settings.sim_kwargs()
+    params = dataclasses.replace(
+        resolve_machine(engine.pop("machine", None)),
+        num_cpus=NUM_CPUS, network_cpu=None,
     )
     sim = Simulation(
-        "multpgm", params=MachineParams(num_cpus=NUM_CPUS),
-        seed=settings.seed, tuning=tuning, check=settings.check,
+        "multpgm", params=params, seed=settings.seed, tuning=tuning, **engine
     )
     run = ctx.note_private_run(
         sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)

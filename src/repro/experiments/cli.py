@@ -19,7 +19,6 @@ from repro.experiments._base import ExperimentContext, RunSettings
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.fidelity import resolve_fast_forward, resolve_fidelity
 from repro.machines import MACHINES, machine_for_cpus, resolve_machine_name
-from repro.sanitizers import check_enabled_by_env, deep_check_enabled_by_env
 from repro.sim.runcache import RunCache
 from repro.workloads import parse_workload_args
 
@@ -111,31 +110,32 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(exhibit_id)
         return 0
 
-    if args.check_deep or deep_check_enabled_by_env():
-        check = "deep"
-    else:
-        check = args.check or check_enabled_by_env()
-    if check and args.jobs > 1:
-        # Reports live on the simulations in this process; worker
-        # processes would strand them. Checked runs are serial.
-        print("[--check forces jobs=1]", file=sys.stderr)
-        args.jobs = 1
-    fidelity = resolve_fidelity(args.fidelity)
-    fast_forward = resolve_fast_forward(args.fast_forward)
     try:
         if args.cpus is not None:
             machine = machine_for_cpus(args.cpus)
         else:
             machine = resolve_machine_name(args.machine)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         workload_args = parse_workload_args(args.workload_args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if check and fidelity == "atomic":
+    # RunSettings folds REPRO_CHECK into ``check``.
+    settings = RunSettings(
+        horizon_ms=args.horizon_ms,
+        warmup_ms=args.warmup_ms,
+        seed=args.seed,
+        check="deep" if args.check_deep else args.check,
+        fidelity=resolve_fidelity(args.fidelity),
+        fast_forward=resolve_fast_forward(args.fast_forward),
+        machine=machine,
+        workload_args=workload_args,
+    )
+    if settings.check and args.jobs > 1:
+        # Reports live on the simulations in this process; worker
+        # processes would strand them. Checked runs are serial.
+        print("[--check forces jobs=1]", file=sys.stderr)
+        args.jobs = 1
+    if settings.check and settings.fidelity == "atomic":
         # Fail fast with the library's own message instead of dying
         # workload-by-workload inside the runs.
         print(
@@ -143,7 +143,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if fidelity == "atomic":
+    if settings.fidelity == "atomic":
         # Atomic runs carry no monitor trace, so every exhibit would
         # render all-zero measured rows; refuse rather than print
         # silently wrong tables.
@@ -155,19 +155,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
     cache = RunCache(cache_dir=args.cache_dir, enabled=not args.no_cache)
-    ctx = ExperimentContext(
-        RunSettings(
-            horizon_ms=args.horizon_ms,
-            warmup_ms=args.warmup_ms,
-            seed=args.seed,
-            check=check,
-            fidelity=fidelity,
-            fast_forward=fast_forward,
-            machine=machine,
-            workload_args=workload_args,
-        ),
-        cache=cache,
-    )
+    ctx = ExperimentContext(settings, cache=cache)
     targets = list(EXPERIMENTS) if args.exhibit == "all" else [args.exhibit]
     start = time.time()
     if args.jobs <= 1:
@@ -199,7 +187,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print()
     print(f"[{time.time() - start:.1f}s, jobs={args.jobs}]", file=sys.stderr)
     print(cache.stats_line(), file=sys.stderr)
-    if check:
+    if settings.check:
         return _report_checks(ctx)
     return 0
 

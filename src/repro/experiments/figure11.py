@@ -7,11 +7,12 @@ included — exactly the figure's Y axis).
 
 from __future__ import annotations
 
-from typing import Dict, List
+import dataclasses
+from typing import Dict, List, Optional
 
 from repro.analysis.lockstats import failed_acquires_per_ms
-from repro.common.params import MachineParams
 from repro.experiments._base import Exhibit, ExperimentContext, RunSettings
+from repro.machines import resolve_machine
 
 EXHIBIT_ID = "figure11"
 TITLE = "Failed lock acquires per ms vs number of CPUs (Multpgm)"
@@ -29,15 +30,25 @@ def contention_series(
     seed: int = 7, cpu_counts=CPU_COUNTS,
     horizon_ms: float = _SETTINGS.horizon_ms,
     warmup_ms: float = _SETTINGS.warmup_ms,
+    ctx: Optional[ExperimentContext] = None,
 ) -> Dict[str, List[float]]:
-    """failed acquires/ms per lock family, one value per CPU count."""
+    """failed acquires/ms per lock family, one value per CPU count.
+
+    With a ``ctx``, every point runs at the context's engine settings
+    (its machine geometry at that point's CPU count) and registers its
+    run with the context.
+    """
     from repro.sim._session import Simulation
 
+    engine = ctx.settings.sim_kwargs() if ctx is not None else {}
+    machine = resolve_machine(engine.pop("machine", None))
     series: Dict[str, List[float]] = {lock: [] for lock in _LOCKS_SHOWN}
     for ncpus in cpu_counts:
-        params = MachineParams(num_cpus=ncpus)
-        sim = Simulation("multpgm", params=params, seed=seed)
-        sim.run(horizon_ms, warmup_ms=warmup_ms)
+        params = dataclasses.replace(machine, num_cpus=ncpus, network_cpu=None)
+        sim = Simulation("multpgm", params=params, seed=seed, **engine)
+        run = sim.run(horizon_ms, warmup_ms=warmup_ms)
+        if ctx is not None:
+            ctx.note_private_run(run)
         wall_ms = (warmup_ms + horizon_ms)
         rates = failed_acquires_per_ms(sim.kernel, wall_ms)
         for lock in _LOCKS_SHOWN:
@@ -47,7 +58,7 @@ def contention_series(
 
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
-    series = contention_series(seed=ctx.settings.seed)
+    series = contention_series(seed=ctx.settings.seed, ctx=ctx)
     for lock, values in series.items():
         exhibit.add_row(lock, *[round(v, 3) for v in values])
     exhibit.note(

@@ -109,9 +109,7 @@ def build(ctx: ExperimentContext) -> Exhibit:
     horizon, warmup = _window(ctx)
     # Context-level --workload-arg knobs (get_fraction, keys, ...) apply
     # to every swept point that accepts them; the sweep pins the skew.
-    base = dict(canonical_workload_args(
-        getattr(ctx.settings, "workload_args", ())
-    ))
+    base = dict(ctx.settings.workload_args)
     for skew in SKEWS:
         args = _accepted(KvWorkload, base)
         args["skew"] = skew

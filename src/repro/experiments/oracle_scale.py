@@ -14,7 +14,6 @@ from repro.analysis.report import analyze_trace
 from repro.common.types import MissClass, RefDomain
 from repro.experiments._base import Exhibit, ExperimentContext
 from repro.sim._session import Simulation
-from repro.workloads.oracle import OracleWorkload
 
 EXHIBIT_ID = "oracle-scale"
 TITLE = "Scaled vs standard-sized TP1: OS miss characteristics"
@@ -49,11 +48,17 @@ def _profile(report) -> tuple:
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
     settings = ctx.settings
-    for scale in ("scaled", "standard"):
-        sim = Simulation(OracleWorkload(scale=scale), seed=settings.seed)
-        run = sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)
-        report = analyze_trace(run, keep_imiss_stream=False)
-        exhibit.add_row(scale, *_profile(report))
+    # The scaled TP1 is the paper's measured Oracle: the shared base run.
+    exhibit.add_row("scaled", *_profile(ctx.report("oracle")))
+    engine = settings.sim_kwargs()
+    engine["workload_args"] = dict(settings.workload_args, scale="standard")
+    sim = Simulation("oracle", seed=settings.seed, **engine)
+    run = ctx.note_private_run(
+        sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)
+    )
+    exhibit.add_row(
+        "standard", *_profile(analyze_trace(run, keep_imiss_stream=False))
+    )
     exhibit.note(
         "paper (Section 3, citing its companion report): the OS miss "
         "characteristics of the standard benchmark are qualitatively the "

@@ -31,8 +31,8 @@ import os
 import traceback
 from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments._base import ExperimentContext, RunSettings
-from repro.sim.runcache import RunCache, load_or_run
+from repro.experiments._base import ExperimentContext
+from repro.sim.runcache import RunCache
 
 BASE_WORKLOADS = ("pmake", "multpgm", "oracle")
 
@@ -99,13 +99,9 @@ def _simulate_base_workload(task):
 
 def _simulate_base_workload_inner(task):
     workload, settings, spec = task
-    cache = _cache_from_spec(spec)
-    run, report = load_or_run(
-        cache, workload,
-        settings.horizon_ms, settings.warmup_ms, settings.seed,
-        analyze=True,
-    )
-    return workload, run, report
+    ctx = ExperimentContext(settings, cache=_cache_from_spec(spec))
+    report = ctx.report(workload)
+    return workload, ctx.run(workload), report
 
 
 _worker_ctx: Optional[ExperimentContext] = None
@@ -163,7 +159,7 @@ def _pool_map(pool, fn, tasks, stage: str):
 def warm_base_runs(ctx: ExperimentContext, jobs: int) -> None:
     """Simulate + analyze the three base workloads, ``jobs`` at a time."""
     missing = [
-        w for w in BASE_WORKLOADS if (w, ()) not in ctx._reports
+        w for w in BASE_WORKLOADS if (w, ctx.settings) not in ctx._reports
     ]
     if not missing:
         return
@@ -176,7 +172,7 @@ def warm_base_runs(ctx: ExperimentContext, jobs: int) -> None:
         for workload, run, report in _pool_map(
             pool, _simulate_base_workload, tasks, "base-run simulation"
         ):
-            key = (workload, ())
+            key = (workload, ctx.settings)
             ctx._runs.setdefault(key, run)
             ctx._reports.setdefault(key, report)
 
@@ -219,7 +215,7 @@ def run_exhibits(
     # worker process).
     base_entries = None
     if ctx.cache is None or not ctx.cache.enabled:
-        base_keys = [(w, ()) for w in BASE_WORKLOADS]
+        base_keys = [(w, ctx.settings) for w in BASE_WORKLOADS]
         base_entries = {
             "runs": {k: ctx._runs[k] for k in base_keys if k in ctx._runs},
             "reports": {k: ctx._reports[k] for k in base_keys if k in ctx._reports},

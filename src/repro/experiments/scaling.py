@@ -22,13 +22,7 @@ from typing import List, Tuple
 from repro.analysis.lockstats import failed_acquires_per_ms
 from repro.common.types import MissClass, RefDomain
 from repro.experiments._base import Exhibit, ExperimentContext, RunSettings
-from repro.machines import (
-    DEFAULT_MACHINE,
-    LADDER,
-    MACHINES,
-    canonical_machine,
-    machine_for_cpus,
-)
+from repro.machines import DEFAULT_MACHINE, LADDER, MACHINES, machine_for_cpus
 
 EXHIBIT_ID = "figure-scaling"
 TITLE = "Lock contention and OS misses vs CPU count (Multpgm)"
@@ -59,9 +53,7 @@ def sweep_machines(ctx: ExperimentContext) -> List[str]:
     if env:
         tokens = env.replace(",", " ").split()
         return [machine_for_cpus(int(token)) for token in tokens]
-    machine = canonical_machine(
-        getattr(ctx.settings, "machine", DEFAULT_MACHINE)
-    )
+    machine = ctx.settings.machine
     top = _DEFAULT_TOP
     if isinstance(machine, str) and machine in LADDER \
             and machine != DEFAULT_MACHINE:

@@ -37,14 +37,12 @@ def _num(value) -> str:
 
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
-    # Pin the baseline to detailed when the context's default tier is
-    # something else (a fast-forwarded `run all` sweep would otherwise
-    # compare mixed against itself). With a detailed default the empty
-    # override shares the other exhibits' in-memory runs.
-    baseline = {}
-    if (getattr(ctx.settings, "fidelity", "detailed") != "detailed"
-            or getattr(ctx.settings, "fast_forward", 0)):
-        baseline = {"fidelity": "detailed", "fast_forward": 0}
+    # Pin the baseline to detailed even when the context's default tier
+    # is something else (a fast-forwarded `run all` sweep would otherwise
+    # compare mixed against itself). With a detailed default the pin
+    # resolves to the context's own settings, so it shares the other
+    # exhibits' runs.
+    baseline = {"fidelity": "detailed", "fast_forward": 0}
     report_blob = []
     failures = 0
     for workload in paperdata.WORKLOADS:

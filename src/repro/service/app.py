@@ -26,6 +26,7 @@ to :func:`repro.api.exhibit` (CI asserts this).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
@@ -40,7 +41,7 @@ from repro.experiments.registry import (
 )
 from repro.fidelity import FIDELITY_LEVELS
 from repro.machines import MACHINES
-from repro.service.jobs import JobManager, QueueFull, apply_fidelity
+from repro.service.jobs import JobManager, QueueFull
 from repro.service.metrics import MetricsRegistry
 from repro.workloads import parse_workload_args
 
@@ -138,7 +139,7 @@ class ServiceMetrics:
         if settings is not None:
             # The configured default engine tier, Prometheus-style: one
             # gauge per tier label, 1 on the active one.
-            tier = getattr(settings, "fidelity", "detailed")
+            tier = settings.fidelity
             tier_gauge = registry.labeled_gauge(
                 "repro_fidelity_tier",
                 "Configured default engine fidelity tier "
@@ -151,9 +152,7 @@ class ServiceMetrics:
                 "repro_fidelity_fast_forward_refs",
                 "Configured mixed-tier atomic fast-forward budget "
                 "(references; 0 = hand off at the warmup seam).",
-                callback=lambda: float(
-                    getattr(settings, "fast_forward", 0)
-                ),
+                callback=lambda: float(settings.fast_forward),
             )
         if cache is not None:
             for name, help_text in (
@@ -283,19 +282,21 @@ class ServiceApp:
         fmt = params.get("format", ["json"])[0]
         if fmt not in ("json", "text"):
             return self._error(400, "format must be 'json' or 'text'")
-        # Engine-tier job parameters: ?fidelity=mixed&fast_forward=N
-        # builds this exhibit's variant on the requested tier (distinct
-        # cache entries — the tier changes the exhibit's bytes).
+        # Per-request overrides of the configured settings. Each builds
+        # this exhibit's variant at those settings, with its own cache
+        # entries (RunSettings.cache_repr folds them in). Engine tier:
+        # ?fidelity=mixed&fast_forward=N.
+        overrides = {}
         fidelity = params.get("fidelity", [None])[0]
-        if fidelity is None:
-            fidelity = getattr(self.config.settings, "fidelity", "detailed")
-        elif fidelity not in FIDELITY_LEVELS:
-            return self._error(
-                400,
-                f"unknown fidelity {fidelity!r}",
-                choices=sorted(FIDELITY_LEVELS),
-            )
-        if fidelity == "atomic":
+        if fidelity is not None:
+            if fidelity not in FIDELITY_LEVELS:
+                return self._error(
+                    400,
+                    f"unknown fidelity {fidelity!r}",
+                    choices=sorted(FIDELITY_LEVELS),
+                )
+            overrides["fidelity"] = fidelity
+        if overrides.get("fidelity", self.config.settings.fidelity) == "atomic":
             # Atomic runs carry no monitor trace; an exhibit built from
             # one would render all-zero measured rows.
             return self._error(
@@ -307,34 +308,32 @@ class ServiceApp:
             fast_forward = int(params.get("fast_forward", ["0"])[0] or 0)
         except ValueError:
             return self._error(400, "fast_forward must be an integer")
-        if not fast_forward:
-            fast_forward = getattr(self.config.settings, "fast_forward", 0)
-        # Machine geometry: ?machine=cpus16 builds the exhibit's variant
-        # on a scaled preset (distinct cache entries, like fidelity).
+        if fast_forward:
+            overrides["fast_forward"] = fast_forward
+        # Machine geometry: ?machine=cpus16.
         machine = params.get("machine", [None])[0]
-        if machine is None:
-            machine = getattr(self.config.settings, "machine", "4d340")
-        elif machine not in MACHINES:
-            return self._error(
-                400,
-                f"unknown machine {machine!r}",
-                choices=list(MACHINES),
-            )
-        # Workload knobs: repeated ?workload_arg=k=v parameters build a
-        # tuned variant (distinct cache entries — tuned runs are
-        # different runs).
+        if machine is not None:
+            if machine not in MACHINES:
+                return self._error(
+                    400,
+                    f"unknown machine {machine!r}",
+                    choices=list(MACHINES),
+                )
+            overrides["machine"] = machine
+        # Workload knobs: repeated ?workload_arg=k=v parameters.
         try:
             workload_args = parse_workload_args(
                 params.get("workload_arg", ())
             )
         except ValueError as exc:
             return self._error(400, str(exc))
-        if not workload_args:
-            workload_args = getattr(
-                self.config.settings, "workload_args", ()
-            )
-        exhibit = self._warm_exhibit(exhibit_id, fidelity, fast_forward,
-                                     machine, workload_args)
+        if workload_args:
+            overrides["workload_args"] = workload_args
+        try:
+            settings = dataclasses.replace(self.config.settings, **overrides)
+        except ValueError as exc:
+            return self._error(400, str(exc))
+        exhibit = self._warm_exhibit(exhibit_id, settings)
         if exhibit is not None:
             self.metrics.exhibit_warm_hits.inc()
             if fmt == "text":
@@ -342,10 +341,7 @@ class ServiceApp:
             return Reply(200, JSON, (exhibit.to_json() + "\n").encode())
         self.metrics.exhibit_cold_misses.inc()
         try:
-            job, _created = self.jobs.submit(
-                exhibit_id, fidelity=fidelity, fast_forward=fast_forward,
-                machine=machine, workload_args=workload_args,
-            )
+            job, _created = self.jobs.submit(exhibit_id, settings)
         except QueueFull:
             reply = self._error(
                 503, "job queue full",
@@ -365,55 +361,31 @@ class ServiceApp:
         reply.headers["Location"] = f"/jobs/{job.job_id}"
         return reply
 
-    def _warm_exhibit(
-        self, exhibit_id: str, fidelity: str, fast_forward: int,
-        machine: str = "4d340", workload_args: tuple = (),
-    ) -> Optional[Exhibit]:
+    def _warm_exhibit(self, exhibit_id: str,
+                      settings: RunSettings) -> Optional[Exhibit]:
         """The exhibit if it can be served without simulating, else None.
 
-        Non-default engine tiers, machines and workload knobs key a
-        separate in-memory slot and a separate disk entry
-        (``RunSettings.cache_repr`` folds them in), so a mixed-tier,
-        cpus16 or skew-tuned build never shadows the default exhibit.
+        A variant at non-default settings keys its own in-memory slot
+        and its own disk entry, so a mixed-tier, cpus16 or skew-tuned
+        build never shadows the default exhibit.
         """
-        settings = apply_fidelity(
-            self.config.settings, fidelity, fast_forward, machine,
-            workload_args,
-        )
-        if settings is self.config.settings:
+        if settings == self.config.settings:
             memory_key = exhibit_id
         else:
-            memory_key = (
-                f"{exhibit_id}@{fidelity}+{fast_forward}@{machine}"
-                f"@{workload_args!r}"
-            )
+            memory_key = f"{exhibit_id}@{settings.cache_repr()}"
         cached = self.ctx.exhibit_cache.get(memory_key)
         if cached is not None:
             return cached
-        payload = self.jobs.result_for_exhibit(
-            exhibit_id, fidelity=fidelity, fast_forward=fast_forward,
-            machine=machine, workload_args=workload_args,
-        )
+        payload = self.jobs.result_for_exhibit(exhibit_id, settings)
         if payload is not None:
             exhibit = Exhibit.from_dict(payload)
-            self.ctx.exhibit_cache[memory_key] = exhibit
-            return exhibit
-        exhibit = self._load_disk_exhibit(exhibit_id, settings)
-        if exhibit is not None:
-            self.ctx.exhibit_cache[memory_key] = exhibit
-            return exhibit
-        return None
-
-    def _load_disk_exhibit(self, exhibit_id: str, settings) -> Optional[Exhibit]:
-        if settings is self.config.settings:
-            return self.ctx.load_cached_exhibit(exhibit_id)
-        if not self.cache.enabled:
-            return None
-        payload = self.cache.load(self.cache.exhibit_key(exhibit_id, settings))
-        if payload is None:
-            return None
-        exhibit = payload.get("exhibit")
-        return exhibit if isinstance(exhibit, Exhibit) else None
+        else:
+            payload = self.cache.load(self.cache.exhibit_key(exhibit_id, settings))
+            exhibit = payload.get("exhibit") if payload is not None else None
+            if not isinstance(exhibit, Exhibit):
+                return None
+        self.ctx.exhibit_cache[memory_key] = exhibit
+        return exhibit
 
     def _job(self, job_id: str) -> Reply:
         job = self.jobs.get(job_id)

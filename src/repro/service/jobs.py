@@ -24,13 +24,14 @@ job.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import itertools
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from repro.experiments._base import RunSettings
 
 # Job lifecycle states. Terminal states keep their result/error forever
 # (the manager holds a bounded history so /jobs/<id> keeps answering
@@ -58,16 +59,12 @@ class Job:
 
     job_id: str
     exhibit_id: str
+    # The settings this build runs at: the service's configured settings
+    # with the request's overrides applied. Jobs for the same exhibit at
+    # different settings produce different bytes, so coalescing and
+    # result lookup key on (exhibit_id, settings).
+    settings: RunSettings
     state: str = QUEUED
-    # Engine-tier, machine-geometry and workload-knob overrides for this
-    # build (the service's configured settings otherwise). Jobs for the
-    # same exhibit at different tiers, machines or knobs are distinct —
-    # they produce different bytes — so coalescing and result lookup key
-    # on (exhibit_id, fidelity, fast_forward, machine, workload_args).
-    fidelity: str = "detailed"
-    fast_forward: int = 0
-    machine: str = "4d340"
-    workload_args: tuple = ()
     created_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -76,8 +73,7 @@ class Job:
 
     @property
     def variant(self) -> tuple:
-        return (self.exhibit_id, self.fidelity, self.fast_forward,
-                self.machine, self.workload_args)
+        return (self.exhibit_id, self.settings)
 
     def to_dict(self) -> dict:
         payload = {
@@ -88,33 +84,16 @@ class Job:
             "started_at": self.started_at,
             "finished_at": self.finished_at,
         }
-        if self.fidelity != "detailed":
-            payload["fidelity"] = self.fidelity
-        if self.fast_forward:
-            payload["fast_forward"] = self.fast_forward
-        if self.machine != "4d340":
-            payload["machine"] = self.machine
-        if self.workload_args:
-            payload["workload_args"] = [list(kv) for kv in self.workload_args]
+        engine = self.settings.sim_kwargs()
+        engine.pop("check", None)
+        if "workload_args" in engine:
+            engine["workload_args"] = [list(kv) for kv in engine["workload_args"]]
+        payload.update(engine)
         if self.error is not None:
             payload["error"] = self.error
         if self.state == DONE:
             payload["location"] = f"/exhibits/{self.exhibit_id}"
         return payload
-
-
-def apply_fidelity(settings, fidelity: str, fast_forward: int,
-                   machine: str = "4d340", workload_args: tuple = ()):
-    """``settings`` with the job's tier/machine/knob overrides applied."""
-    if (fidelity == getattr(settings, "fidelity", "detailed")
-            and fast_forward == getattr(settings, "fast_forward", 0)
-            and machine == getattr(settings, "machine", "4d340")
-            and workload_args == getattr(settings, "workload_args", ())):
-        return settings
-    return dataclasses.replace(
-        settings, fidelity=fidelity, fast_forward=fast_forward,
-        machine=machine, workload_args=workload_args,
-    )
 
 
 def build_exhibit_payload(exhibit_id: str, settings, cache_spec):
@@ -225,34 +204,28 @@ class JobManager:
     # Submission
     # ------------------------------------------------------------------
     def submit(
-        self,
-        exhibit_id: str,
-        fidelity: str = "detailed",
-        fast_forward: int = 0,
-        machine: str = "4d340",
-        workload_args: tuple = (),
+        self, exhibit_id: str, settings: Optional[RunSettings] = None,
     ) -> "tuple[Job, bool]":
-        """Queue a build; returns ``(job, created)``.
+        """Queue a build at ``settings`` (default: the manager's);
+        returns ``(job, created)``.
 
         ``created`` is False when the request coalesced onto a job for
-        the same exhibit, engine tier, machine *and workload knobs* that
-        is already queued or running. Raises :class:`QueueFull` when the
-        bounded queue has no room and :class:`RuntimeError` after
-        :meth:`close`.
+        the same exhibit and settings that is already queued or running.
+        Raises :class:`QueueFull` when the bounded queue has no room and
+        :class:`RuntimeError` after :meth:`close`.
         """
         if self._queue is None or self.closing:
             raise RuntimeError("job manager is not accepting work")
-        variant = (exhibit_id, fidelity, fast_forward, machine,
-                   workload_args)
+        if settings is None:
+            settings = self.settings
+        variant = (exhibit_id, settings)
         for job in self.jobs.values():
             if job.variant == variant and job.state in (QUEUED, RUNNING):
                 if self.metrics is not None:
                     self.metrics.jobs_total.inc(outcome="coalesced")
                 return job, False
         job = Job(job_id=f"job-{next(self._ids)}-{uuid.uuid4().hex[:8]}",
-                  exhibit_id=exhibit_id, fidelity=fidelity,
-                  fast_forward=fast_forward, machine=machine,
-                  workload_args=workload_args)
+                  exhibit_id=exhibit_id, settings=settings)
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
@@ -270,16 +243,11 @@ class JobManager:
         return self.jobs.get(job_id)
 
     def result_for_exhibit(
-        self,
-        exhibit_id: str,
-        fidelity: str = "detailed",
-        fast_forward: int = 0,
-        machine: str = "4d340",
-        workload_args: tuple = (),
+        self, exhibit_id: str, settings: Optional[RunSettings] = None,
     ) -> Optional[dict]:
-        """The most recent completed payload for the exhibit variant."""
-        variant = (exhibit_id, fidelity, fast_forward, machine,
-                   workload_args)
+        """The most recent completed payload for the exhibit at
+        ``settings`` (default: the manager's)."""
+        variant = (exhibit_id, settings if settings is not None else self.settings)
         for job_id in reversed(self._finished_order):
             job = self.jobs.get(job_id)
             if job is not None and job.variant == variant \
@@ -332,10 +300,7 @@ class JobManager:
         self.busy_workers += 1
         future = loop.run_in_executor(
             self._executor, self.runner,
-            job.exhibit_id,
-            apply_fidelity(self.settings, job.fidelity, job.fast_forward,
-                           job.machine, job.workload_args),
-            self.cache_spec,
+            job.exhibit_id, job.settings, self.cache_spec,
         )
         self._tasks_by_job[job.job_id] = future
         try:

@@ -28,6 +28,7 @@ from repro.fidelity import (
 )
 from repro.kernel.kernel import Kernel, KernelTuning
 from repro.kernel.vm import VmTuning
+from repro.machines import MACHINES, MachineSpec, canonical_machine, resolve_machine
 from repro.memsys.system import MemorySystem
 from repro.monitor.escapes import Instrumentation
 from repro.monitor.hwmonitor import HardwareMonitor, Trace
@@ -57,6 +58,28 @@ def clock_stagger(clock_period: int, num_cpus: int) -> List[int]:
     return [
         clock_period + clock_period * i // num_cpus for i in range(num_cpus)
     ]
+
+
+def default_tuning(workload_name: str, machine: MachineSpec = None) -> KernelTuning:
+    """The kernel tuning a :class:`Simulation` of ``workload_name`` on
+    ``machine`` gets when no ``tuning=`` is passed.
+
+    The workload's calibration sets the quantum and the memory held by
+    untraced residents; a machine preset sets its run-queue count (one
+    queue per 4-CPU cluster, Section 6). The ablations derive their
+    variants from this, so a variant differs from its baseline only in
+    the ablated knob.
+    """
+    calibration = CALIBRATIONS.get(workload_name)
+    vm = VmTuning()
+    if calibration is not None:
+        vm.baseline_frames = calibration.baseline_frames
+    machine = canonical_machine(machine)
+    return KernelTuning(
+        quantum_ms=calibration.quantum_ms if calibration else 30.0,
+        num_run_queues=MACHINES[machine].run_queues if isinstance(machine, str) else 1,
+        vm=vm,
+    )
 
 
 @dataclass
@@ -143,16 +166,11 @@ class Simulation:
         # carries its recommended run-queue count (one queue per 4-CPU
         # cluster, Section 6), folded into the default tuning below —
         # explicit ``tuning=`` always wins.
-        machine_run_queues = 1
         if machine is not None:
             if params is not None:
                 raise TypeError("pass machine= or params=, not both")
-            from repro.machines import MACHINES, canonical_machine, resolve_machine
-
             machine = canonical_machine(machine)
             params = resolve_machine(machine)
-            if isinstance(machine, str):
-                machine_run_queues = MACHINES[machine].run_queues
         self.params = params if params is not None else MachineParams()
         self.seed = seed
         self.fidelity = validate_fidelity(fidelity)
@@ -189,14 +207,7 @@ class Simulation:
             cfg.hot_text_fraction = calibration.hot_text_fraction
             cfg.hot_data_fraction = calibration.hot_data_fraction
         if tuning is None:
-            vm = VmTuning()
-            if calibration is not None:
-                vm.baseline_frames = calibration.baseline_frames
-            tuning = KernelTuning(
-                quantum_ms=calibration.quantum_ms if calibration else 30.0,
-                num_run_queues=machine_run_queues,
-                vm=vm,
-            )
+            tuning = default_tuning(workload.name, machine)
 
         self.memsys = MemorySystem(self.params, record_events=record_truth_events)
         self.processors = [

@@ -175,16 +175,11 @@ class RunCache:
     def exhibit_key(self, exhibit_id: str, settings) -> str:
         # cache_repr() keeps default-settings keys identical to the keys
         # from before the fidelity/machine/workload-args fields existed.
-        settings_repr = (
-            settings.cache_repr()
-            if hasattr(settings, "cache_repr")
-            else repr(settings)
-        )
         material = {
             "format": _FORMAT,
             "kind": "exhibit",
             "exhibit_id": exhibit_id,
-            "settings": settings_repr,
+            "settings": settings.cache_repr(),
             "version": _package_version(),
             "sources": source_digest(include_experiments=True),
         }
@@ -367,55 +362,23 @@ def load_or_run(
 ):
     """Fetch ``(TracedRun, AnalysisReport|None)``, simulating on a miss.
 
+    ``sim_kwargs`` are :class:`~repro.experiments._base.RunSettings`
+    engine fields. They key the run as ``RunSettings.sim_kwargs()``
+    resolves them: canonicalized, defaults dropped (so pre-existing
+    entries stay valid) and ``REPRO_CHECK`` folded in (so checked and
+    unchecked runs never cross-reuse).
+
     With ``analyze=True`` the analysis report is computed (and cached)
     too; a cached run whose entry predates the report request is
     upgraded in place.
     """
-    from repro.sanitizers import check_enabled_by_env
+    from repro.experiments._base import RunSettings
     from repro.sim._session import Simulation
 
-    sim_kwargs = dict(sim_kwargs or {})
-    # Checked and unchecked runs must never cross-reuse: a run simulated
-    # with REPRO_CHECK=1 carries a CheckReport (and sanitizer state), an
-    # unchecked run does not. Resolve the env here so it enters the key;
-    # an explicit check=False is normalized away so pre-existing entries
-    # keyed without the flag stay valid.
-    if check_enabled_by_env():
-        sim_kwargs["check"] = True
-    elif not sim_kwargs.get("check", False):
-        sim_kwargs.pop("check", None)
-    # Fidelity is folded into the run key (the tier changes the run's
-    # bytes). The defaults normalize away so every pre-existing detailed
-    # entry stays valid, and detailed/atomic/mixed entries can never
-    # cross-reuse.
-    if sim_kwargs.get("fidelity", "detailed") == "detailed":
-        sim_kwargs.pop("fidelity", None)
-    if not sim_kwargs.get("fast_forward", 0):
-        sim_kwargs.pop("fast_forward", None)
-    # The machine geometry also changes the run's bytes, so it keys the
-    # run — canonicalized (a preset's name and its literal MachineParams
-    # key identically) with the 4d340 default normalized away so every
-    # pre-existing default-machine entry stays valid.
-    if "machine" in sim_kwargs:
-        from repro.machines import DEFAULT_MACHINE, canonical_machine
-
-        machine = canonical_machine(sim_kwargs["machine"])
-        if machine == DEFAULT_MACHINE:
-            sim_kwargs.pop("machine")
-        else:
-            sim_kwargs["machine"] = machine
-    # Tuned workload knobs also change the run's bytes, so they key the
-    # run — canonicalized to the sorted pair-tuple form (deterministic
-    # repr) with the empty default normalized away, so tuned and default
-    # runs never cross-reuse and every pre-existing key stays identical.
-    if "workload_args" in sim_kwargs:
-        from repro.workloads import canonical_workload_args
-
-        workload_args = canonical_workload_args(sim_kwargs["workload_args"])
-        if workload_args:
-            sim_kwargs["workload_args"] = workload_args
-        else:
-            sim_kwargs.pop("workload_args")
+    sim_kwargs = RunSettings(
+        horizon_ms=horizon_ms, warmup_ms=warmup_ms, seed=seed,
+        **(sim_kwargs or {}),
+    ).sim_kwargs()
     mixed = sim_kwargs.get("fidelity") == "mixed"
     key = None
     claimed = False

@@ -1,8 +1,8 @@
-"""repro.api: the stable facade, keyword validation, deprecation shims
-and the structured exhibit output that rides on them."""
+"""repro.api: the stable facade, keyword validation, the removed
+deprecation shims and the structured exhibit output that rides on them."""
 
+import importlib
 import json
-import warnings
 
 import pytest
 
@@ -106,50 +106,24 @@ class TestStrictContextOverrides:
 
 
 class TestDeprecationShims:
+    """The deprecated deep-import paths are gone and fail loudly."""
+
     def test_sim_session_warns_and_aliases(self):
-        import importlib
-
-        import repro.sim.session
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(repro.sim.session)
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api" in str(w.message)
-            for w in caught
-        )
-        # Class identity is preserved: isinstance checks keep working.
-        assert repro.sim.session.Simulation is api.Simulation
-        assert repro.sim.session.TracedRun is api.TracedRun
-        assert repro.sim.session.run_traced_workload is api.run_traced_workload
+        with pytest.raises(ModuleNotFoundError, match="repro.sim.session"):
+            importlib.import_module("repro.sim.session")
 
     def test_experiments_base_warns_and_aliases(self):
-        import importlib
-
-        import repro.experiments.base
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(repro.experiments.base)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert repro.experiments.base.Exhibit is api.Exhibit
-        assert repro.experiments.base.ExperimentContext is ExperimentContext
-        assert repro.experiments.base.RunSettings is RunSettings
+        with pytest.raises(
+            ModuleNotFoundError, match="repro.experiments.base"
+        ):
+            importlib.import_module("repro.experiments.base")
 
     def test_shimmed_run_matches_facade_run(self):
-        """The deprecated path yields identical results, not just types."""
-        from repro.sim.session import run_traced_workload as old_path
-
-        old = old_path(workload="pmake", **_SHORT)
-        new = api.run("pmake", **_SHORT)
-        assert old.workload_name == new.workload_name
-        assert (
-            max(p.cycles for p in old.processors)
-            == max(p.cycles for p in new.processors)
-        )
+        """The old path is gone; the facade is the one way in."""
+        with pytest.raises(ModuleNotFoundError):
+            from repro.sim.session import run_traced_workload  # noqa: F401
+        run = api.run("pmake", **_SHORT)
+        assert run.workload_name == "pmake"
 
 
 class TestExhibitJson:

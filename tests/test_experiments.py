@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.api import Exhibit, ExperimentContext, RunSettings
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 
@@ -141,3 +142,52 @@ def test_figure11_contention_grows():
     )
     # Runqlk contention grows with CPU count (the paper's conclusion).
     assert series["runqlk"][1] >= series["runqlk"][0]
+
+
+# The exhibits that build their own Simulation instead of calling ctx.run.
+_PRIVATE_RUN_IDS = (
+    "ablation-layout", "ablation-blockops", "ablation-affinity",
+    "ablation-runqueues", "oracle-scale",
+)
+
+
+@pytest.mark.slow
+def test_private_runs_honour_context_settings(monkeypatch):
+    """Every Simulation the private-run exhibits build carries the
+    context's engine settings, not the defaults."""
+    from repro.experiments.figure11 import contention_series
+    from repro.sim._session import Simulation
+
+    tiers = []
+    original = Simulation.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        tiers.append(self.fidelity)
+
+    monkeypatch.setattr(Simulation, "__init__", spy)
+    ctx = ExperimentContext(
+        RunSettings(horizon_ms=2.0, warmup_ms=6.0, seed=3, fidelity="mixed")
+    )
+    for exhibit_id in _PRIVATE_RUN_IDS:
+        tiers.clear()
+        run_experiment(exhibit_id, ctx)
+        assert tiers and set(tiers) == {"mixed"}, exhibit_id
+    # figure11's exhibit window is fixed at 40/250 ms; drive its sweep
+    # directly at a short one.
+    tiers.clear()
+    contention_series(
+        seed=3, cpu_counts=(2,), horizon_ms=2.0, warmup_ms=6.0, ctx=ctx
+    )
+    assert tiers == ["mixed"]
+
+
+def test_note_private_run_keeps_only_checked_runs(monkeypatch):
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    window = dict(horizon_ms=1.0, warmup_ms=4.0, seed=3)
+    ctx = ExperimentContext(RunSettings(**window))
+    plain = api.run("pmake", **window)
+    checked = api.run("pmake", check=True, **window)
+    assert ctx.note_private_run(plain) is plain
+    assert ctx.note_private_run(checked) is checked
+    assert ctx.all_runs() == [checked]

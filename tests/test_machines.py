@@ -11,7 +11,6 @@ world before presets existed.
 
 from __future__ import annotations
 
-import warnings
 from types import SimpleNamespace
 
 import pytest
@@ -225,17 +224,13 @@ class TestContextAndCacheKeys:
 
     def test_resolved_default_machine_has_no_sim_kwargs(self):
         ctx = ExperimentContext(RunSettings())
-        *_rest, sim_kwargs = ctx._resolved({})
-        assert sim_kwargs == {}
-        *_rest, sim_kwargs = ctx._resolved({"machine": "4d340"})
-        assert sim_kwargs == {}
+        assert ctx._settings_for({}).sim_kwargs() == {}
+        assert ctx._settings_for({"machine": "4d340"}).sim_kwargs() == {}
 
     def test_resolved_scaled_machine(self):
         ctx = ExperimentContext(RunSettings())
-        *_rest, sim_kwargs = ctx._resolved(
-            {"machine": MACHINES["cpus8"].params}
-        )
-        assert sim_kwargs == {"machine": "cpus8"}
+        settings = ctx._settings_for({"machine": MACHINES["cpus8"].params})
+        assert settings.sim_kwargs() == {"machine": "cpus8"}
 
 
 class TestExhibitSchema:
@@ -278,22 +273,16 @@ class TestApiSurface:
         assert run.params.num_cpus == 8
 
     def test_params_shim_warns_and_works(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run = api.run(
+        """The params= shim is gone: it fails loudly and names machine=."""
+        with pytest.raises(TypeError, match="machine="):
+            api.run(
                 "multpgm", horizon_ms=1.0, warmup_ms=4.0,
                 params=MachineParams(num_cpus=2),
             )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert run.params.num_cpus == 2
 
     def test_machine_and_params_conflict(self):
-        with pytest.raises(TypeError, match="not both"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                api.run("multpgm", machine="cpus8", params=MachineParams())
+        with pytest.raises(TypeError, match="machine="):
+            api.run("multpgm", machine="cpus8", params=MachineParams())
 
     def test_report_forwards_machine(self):
         report = api.report("multpgm", horizon_ms=1.0, warmup_ms=4.0,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import parallel
@@ -48,6 +50,23 @@ def test_parallel_matches_serial_with_cache(serial_texts, tmp_path):
     assert warm.cache.misses == 0
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        dataclasses.replace(_SMALL, fidelity="mixed"),
+        dataclasses.replace(_SMALL, machine="cpus8"),
+    ],
+    ids=["mixed", "cpus8"],
+)
+def test_parallel_matches_serial_at_non_default_settings(settings):
+    """The pool's base runs are simulated at the context's settings,
+    not at the default engine tier and machine."""
+    serial_ctx = ExperimentContext(settings)
+    serial = {e: run_experiment(e, serial_ctx).to_text() for e in _EXHIBITS}
+    built = parallel.run_exhibits(ExperimentContext(settings), _EXHIBITS, jobs=3)
+    assert {e: exhibit.to_text() for e, exhibit in built} == serial
+
+
 def test_parallel_merges_state_back(serial_texts):
     """After a parallel build the context looks like a serial one."""
     ctx = ExperimentContext(_SMALL)
@@ -56,8 +75,8 @@ def test_parallel_merges_state_back(serial_texts):
     # Base runs were merged back, so further serial derivations reuse
     # them (and agree with the fully serial reference).
     for workload in parallel.BASE_WORKLOADS:
-        assert (workload, ()) in ctx._runs
-        assert (workload, ()) in ctx._reports
+        assert (workload, ctx.settings) in ctx._runs
+        assert (workload, ctx.settings) in ctx._reports
     assert run_experiment("table4", ctx).to_text()
 
 

@@ -128,6 +128,36 @@ class TestInvalidation:
         assert cache.hits == 1
 
 
+class TestEnvCheckKeysEveryLayer:
+    """REPRO_CHECK enters the settings, so checked runs and exhibits never
+    land under a key an unchecked context reads."""
+
+    def test_env_checked_context_leaves_nothing_unchecked(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import api
+        from repro.api import ExperimentContext
+
+        window = dict(horizon_ms=HORIZON, warmup_ms=WARMUP, seed=SEED)
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CHECK", "1")
+        checked = ExperimentContext(
+            RunSettings(check=False, **window), cache=RunCache(tmp_path)
+        )
+        assert checked.run("pmake").check_report is not None
+        checked.report("pmake")
+        built = api.exhibit("table12", cache=RunCache(tmp_path), **window)
+        assert built.check_coverage
+
+        monkeypatch.delenv("REPRO_CHECK")
+        plain = ExperimentContext(RunSettings(**window), cache=RunCache(tmp_path))
+        assert plain.report("pmake") is not None
+        assert plain.run("pmake").check_report is None
+        exhibit = api.exhibit("table12", cache=RunCache(tmp_path), **window)
+        assert not exhibit.check_coverage
+        assert "check:" not in exhibit.to_text()
+
+
 class TestCorruption:
     def test_corrupt_entry_falls_back_to_simulation(self, cache):
         run, _ = _get(cache)

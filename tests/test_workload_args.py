@@ -6,6 +6,8 @@ so every pre-existing key — run cache, exhibit cache, in-memory context
 cache — stays byte-identical to before the knob existed.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments._base import ExperimentContext, RunSettings
@@ -41,34 +43,32 @@ class TestCacheRepr:
 class TestResolved:
     def test_empty_args_leave_sim_kwargs_empty(self):
         ctx = ExperimentContext(RunSettings())
-        *_rest, sim_kwargs = ctx._resolved({})
-        assert sim_kwargs == {}
-        *_rest, sim_kwargs = ctx._resolved({"workload_args": ()})
-        assert sim_kwargs == {}
+        assert ctx._settings_for({}).sim_kwargs() == {}
+        assert ctx._settings_for({"workload_args": ()}).sim_kwargs() == {}
 
     def test_tuned_args_resolve_canonically(self):
         ctx = ExperimentContext(RunSettings())
-        *_rest, sim_kwargs = ctx._resolved(
+        settings = ctx._settings_for(
             {"workload_args": {"skew": 1.2, "keys": 64}}
         )
-        assert sim_kwargs == {
+        assert settings.sim_kwargs() == {
             "workload_args": (("keys", 64), ("skew", 1.2))
         }
 
     def test_settings_args_flow_into_runs(self):
         ctx = ExperimentContext(RunSettings(workload_args=ARGS))
-        *_rest, sim_kwargs = ctx._resolved({})
-        assert sim_kwargs == {"workload_args": ARGS}
+        assert ctx._settings_for({}).sim_kwargs() == {"workload_args": ARGS}
 
     def test_memory_key_canonicalizes(self):
-        by_dict = ExperimentContext._memory_key(
-            "kv", {"workload_args": {"skew": 1.2}}
-        )
-        by_pairs = ExperimentContext._memory_key("kv", {"workload_args": ARGS})
-        bare = ExperimentContext._memory_key("kv", {})
-        empty = ExperimentContext._memory_key("kv", {"workload_args": ()})
-        assert by_dict == by_pairs
-        assert bare == empty
+        """The context keys runs by resolved settings: a dict and its
+        pair-tuple form key (and hash) identically."""
+        ctx = ExperimentContext(RunSettings())
+        by_dict = ctx._settings_for({"workload_args": {"skew": 1.2}})
+        by_pairs = ctx._settings_for({"workload_args": ARGS})
+        bare = ctx._settings_for({})
+        empty = ctx._settings_for({"workload_args": ()})
+        assert by_dict == by_pairs and hash(by_dict) == hash(by_pairs)
+        assert bare == empty and hash(bare) == hash(empty)
         assert by_pairs != bare
 
 
@@ -112,16 +112,19 @@ class TestServicePlumbing:
         assert "name=value" in reply.json()["error"]
 
     def test_apply_fidelity_folds_args_into_settings(self):
-        from repro.service.jobs import apply_fidelity
+        """A service job carries the configured settings with the
+        request's overrides applied; the knobs fold into its key."""
+        from repro.service.jobs import Job
 
         settings = RunSettings()
-        same = apply_fidelity(settings, "detailed", 0)
-        assert same is settings
-        tuned = apply_fidelity(
-            settings, "detailed", 0, workload_args=ARGS
-        )
+        same = dataclasses.replace(settings, fidelity="detailed", fast_forward=0)
+        assert Job("j1", "table1", same).variant == Job("j2", "table1", settings).variant
+        tuned = dataclasses.replace(settings, workload_args={"skew": 1.2})
         assert tuned.workload_args == ARGS
         assert tuned.cache_repr() != settings.cache_repr()
+        job = Job("j3", "table1", tuned)
+        assert job.variant != Job("j4", "table1", settings).variant
+        assert job.to_dict()["workload_args"] == [["skew", 1.2]]
 
     def test_cli_rejects_malformed_args(self, capsys):
         from repro.experiments.cli import main
