@@ -10,12 +10,14 @@ Exit status 1 when any benchmark regressed beyond the threshold
 (default 25%).
 
 CI runners and developer machines differ in raw speed, so the default
-comparison is **relative**: each benchmark's median is first normalized
-by the geometric mean of the medians common to both files, which
-cancels a uniform host-speed factor and leaves per-benchmark *shape*
-changes — exactly what a code change alters. ``--absolute`` compares
-raw medians instead (meaningful when both files come from the same
-host, e.g. the same CI runner class).
+comparison is **relative**: each benchmark's candidate/baseline ratio
+of medians is divided by the median of those ratios, which cancels a
+uniform host-speed factor and leaves per-benchmark *shape* changes —
+exactly what a code change alters. The median, unlike a mean, does not
+move when a few benchmarks get much faster, so a large gain in some
+entries never makes the unchanged ones look slower. ``--absolute``
+compares raw medians instead (meaningful when both files come from the
+same host, e.g. the same CI runner class).
 
 Benchmarks present only in the candidate are reported but never fail
 the gate (new benchmarks must be able to land together with their
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
+import statistics
 import sys
 from typing import Dict
 
@@ -44,13 +46,22 @@ def load_medians(path: str) -> Dict[str, float]:
     return medians
 
 
-def normalize(medians: Dict[str, float], common) -> Dict[str, float]:
-    """Divide every median by the geometric mean over ``common`` names."""
-    logs = [math.log(medians[name]) for name in common if medians[name] > 0]
-    if not logs:
-        return dict(medians)
-    scale = math.exp(sum(logs) / len(logs))
-    return {name: value / scale for name, value in medians.items()}
+def ratios(base: Dict[str, float], cand: Dict[str, float], common,
+           absolute: bool = False) -> Dict[str, float]:
+    """Candidate/baseline median per ``common`` name.
+
+    Unless ``absolute``, each ratio is divided by the median ratio over
+    the names with a positive baseline (the host-speed factor).
+    """
+    raw = {
+        name: cand[name] / base[name] if base[name] else float("inf")
+        for name in common
+    }
+    finite = [raw[name] for name in common if base[name] > 0]
+    if absolute or not finite:
+        return raw
+    scale = statistics.median(finite) or 1.0
+    return {name: value / scale for name, value in raw.items()}
 
 
 def main(argv=None) -> int:
@@ -78,9 +89,7 @@ def main(argv=None) -> int:
     if not common:
         print("no common benchmarks between the two files", file=sys.stderr)
         return 1
-    if not args.absolute:
-        base = normalize(base, common)
-        cand = normalize(cand, common)
+    ratio_of = ratios(base, cand, common, absolute=args.absolute)
 
     mode = "absolute" if args.absolute else "host-normalized"
     print(f"{len(common)} common benchmark(s), {mode} medians, "
@@ -88,7 +97,7 @@ def main(argv=None) -> int:
     regressions = []
     width = max(len(name) for name in common)
     for name in common:
-        ratio = cand[name] / base[name] if base[name] else float("inf")
+        ratio = ratio_of[name]
         flag = ""
         if ratio > 1 + args.threshold:
             flag = "  REGRESSION"

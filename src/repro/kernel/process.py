@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 # Virtual page number bases (per-process virtual layout).
 TEXT_VBASE = 0
@@ -46,6 +46,57 @@ class Image:
         return bool(self.frames)
 
 
+class HotSet:
+    """The hot working set the user-mode engine sweeps, by arithmetic.
+
+    Entry ``i`` is a ``(vpage, block-in-page)`` pair: every
+    ``text_step``-th block of each of ``text_pages`` text pages, then
+    every ``data_step``-th block of each of ``data_pages`` data pages,
+    in page order. The engine's touch loop (``UserEngine._run_user_refs``)
+    computes entries inline with the arithmetic of :meth:`__getitem__`;
+    an indexing call per touch would cost more than the set saves.
+    """
+
+    __slots__ = (
+        "text_pages", "text_step", "data_pages", "data_step",
+        "blocks_per_page", "text_per_page", "data_per_page", "text_len",
+        "size",
+    )
+
+    def __init__(self, text_pages: int, text_step: int, data_pages: int,
+                 data_step: int, blocks_per_page: int):
+        self.text_pages = text_pages
+        self.text_step = text_step
+        self.data_pages = data_pages
+        self.data_step = data_step
+        self.blocks_per_page = blocks_per_page
+        self.text_per_page = len(range(0, blocks_per_page, text_step))
+        self.data_per_page = len(range(0, blocks_per_page, data_step))
+        self.text_len = text_pages * self.text_per_page
+        self.size = self.text_len + data_pages * self.data_per_page
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> Tuple[int, int]:
+        if not 0 <= i < self.size:
+            raise IndexError("hot set index out of range")
+        if i < self.text_len:
+            return (TEXT_VBASE + i // self.text_per_page,
+                    i % self.text_per_page * self.text_step)
+        i -= self.text_len
+        return (DATA_VBASE + i // self.data_per_page,
+                i % self.data_per_page * self.data_step)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        for vpage in range(TEXT_VBASE, TEXT_VBASE + self.text_pages):
+            for block in range(0, self.blocks_per_page, self.text_step):
+                yield vpage, block
+        for vpage in range(DATA_VBASE, DATA_VBASE + self.data_pages):
+            for block in range(0, self.blocks_per_page, self.data_step):
+                yield vpage, block
+
+
 @dataclass
 class Process:
     """One schedulable process."""
@@ -63,7 +114,9 @@ class Process:
     # Data pages still shared copy-on-write with the parent after fork.
     cow_pages: Set[int] = field(default_factory=set)
     # Hot working set the user-mode engine sweeps: (vpage, block-in-page).
-    hot_blocks: List[Tuple[int, int]] = field(default_factory=list)
+    # Empty until the engine builds it; an unpickled process holds the
+    # expanded list that __getstate__ wrote.
+    hot_blocks: Union[HotSet, List[Tuple[int, int]]] = field(default_factory=list)
     sweep_cursor: int = 0
     # Number of data pages the process may demand-fault (heap size).
     data_pages: int = 16
@@ -85,11 +138,16 @@ class Process:
     # serialize. A pickled process (run cache, multiprocessing) is only
     # ever *analyzed*, never resumed, so the driver is dropped on dump
     # and replaced with an exhausted iterator on load — stepping a
-    # restored process simply exits it instead of crashing.
+    # restored process simply exits it instead of crashing. The hot set
+    # is written as its expanded list of pairs, the form it had before
+    # HotSet existed, so pickled runs and checkpoints stay
+    # byte-identical to the ones already stored.
     # ------------------------------------------------------------------
     def __getstate__(self):
         state = self.__dict__.copy()
         state["driver"] = None
+        if type(self.hot_blocks) is HotSet:
+            state["hot_blocks"] = list(self.hot_blocks)
         return state
 
     def __setstate__(self, state):
@@ -106,26 +164,29 @@ class Process:
         self.dispatches += 1
         return migrated
 
-    def build_hot_set(
-        self, rng, text_fraction: float = 0.5, data_fraction: float = 0.6,
+    def hot_set(
+        self, text_fraction: float = 0.5, data_fraction: float = 0.6,
         blocks_per_page: int = 256,
-    ) -> None:
-        """Choose the hot blocks the user-mode engine sweeps.
+    ) -> HotSet:
+        """The hot blocks of the current image and heap.
 
         ``text_fraction`` of each text page and ``data_fraction`` of each
         currently-known data page are hot; the engine walks them
         cyclically, which is what re-exposes OS-displaced blocks as
         *Ap_dispos* misses (Section 4.3).
         """
-        hot: List[Tuple[int, int]] = []
-        text_step = max(1, int(1 / max(text_fraction, 1e-6)))
-        for vpage in range(TEXT_VBASE, TEXT_VBASE + self.image.text_pages):
-            for block in range(0, blocks_per_page, text_step):
-                hot.append((vpage, block))
-        data_step = max(1, int(1 / max(data_fraction, 1e-6)))
-        for vpage in range(DATA_VBASE, DATA_VBASE + self.data_pages):
-            for block in range(0, blocks_per_page, data_step):
-                hot.append((vpage, block))
+        return HotSet(
+            self.image.text_pages, max(1, int(1 / max(text_fraction, 1e-6))),
+            self.data_pages, max(1, int(1 / max(data_fraction, 1e-6))),
+            blocks_per_page,
+        )
+
+    def build_hot_set(
+        self, rng, text_fraction: float = 0.5, data_fraction: float = 0.6,
+        blocks_per_page: int = 256,
+    ) -> None:
+        """Choose the hot blocks the user-mode engine sweeps (:meth:`hot_set`)."""
+        hot = self.hot_set(text_fraction, data_fraction, blocks_per_page)
         # Keep the sweep order sequential (spatial locality drives both
         # the TLB behaviour and the cache behaviour); only the starting
         # point is randomized.

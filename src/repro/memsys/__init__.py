@@ -14,7 +14,7 @@ The pieces:
   per-miss classification used to validate the trace-driven classifier.
 """
 
-from repro.memsys.cache import Cache, EvictionInfo
+from repro.memsys.cache import Cache
 from repro.memsys.bus import Bus
 from repro.memsys.hierarchy import CpuCacheHierarchy, AccessOutcome
 from repro.memsys.memory import PhysicalMemory, MemoryRegion
@@ -23,7 +23,6 @@ from repro.memsys.tracking import GroundTruth, MissEvent
 
 __all__ = [
     "Cache",
-    "EvictionInfo",
     "Bus",
     "CpuCacheHierarchy",
     "AccessOutcome",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.types import HighLevelOp
-from repro.kernel.process import DATA_VBASE, Process
+from repro.kernel.process import DATA_VBASE, TEXT_VBASE, HotSet, Process
 from repro.workloads import actions as A
 from repro.workloads.base import EngineConfig
 
@@ -209,11 +209,28 @@ class UserEngine:
         chunk = min(remaining, max(0, deadline - proc.cycles))
         if chunk <= 0:
             return _PARTIAL if remaining > 0 else _DONE
-        if not process.hot_blocks:
-            process.build_hot_set(
-                self.rng, cfg.hot_text_fraction, cfg.hot_data_fraction,
-                self._blocks_per_page,
-            )
+        hot = process.hot_blocks
+        if type(hot) is not HotSet:
+            if not hot:
+                process.build_hot_set(
+                    self.rng, cfg.hot_text_fraction, cfg.hot_data_fraction,
+                    self._blocks_per_page,
+                )
+            else:
+                # Unpickled from a checkpoint, which stores the expanded
+                # pairs (Process.__getstate__). exec, brk and exit reset
+                # the set whenever the image or heap size changes, so
+                # rebuilding it from them continues the sweep exactly.
+                rebuilt = process.hot_set(
+                    cfg.hot_text_fraction, cfg.hot_data_fraction,
+                    self._blocks_per_page,
+                )
+                if list(rebuilt) != hot:
+                    raise RuntimeError(
+                        f"process {process.pid}: restored hot set does not "
+                        f"match its image and heap"
+                    )
+                process.hot_blocks = rebuilt
         ran, blocked = self._run_user_refs(proc, process, chunk, action)
         action.done_cycles += ran
         if blocked:
@@ -232,7 +249,8 @@ class UserEngine:
         k = self.k
         rng = self.rng
         hot = process.hot_blocks
-        if not hot:
+        n_hot = hot.size
+        if not n_hot:
             proc.advance(cycles)
             return cycles, False
         n_touches = max(1, int(cycles * cfg.touches_per_kcycle / 1000))
@@ -240,6 +258,12 @@ class UserEngine:
         bpp = self._blocks_per_page
         consumed = 0
         cursor = process.sweep_cursor
+        # HotSet.__getitem__, inlined.
+        text_len = hot.text_len
+        text_per_page = hot.text_per_page
+        text_step = hot.text_step
+        data_per_page = hot.data_per_page
+        data_step = hot.data_step
         advance = proc.advance
         # Hit fast path: a direct-mapped hit (for writes, an owned one)
         # costs zero stall and moves no state, so it needs only the
@@ -256,9 +280,17 @@ class UserEngine:
         owner_get = memsys._owner.get
         for _ in range(n_touches):
             if rng.random() < cfg.jump_probability:
-                cursor = rng.randrange(len(hot))
-            vpage, block = hot[cursor]
-            cursor = (cursor + 1) % len(hot)
+                cursor = rng.randrange(n_hot)
+            if cursor < text_len:
+                vpage = TEXT_VBASE + cursor // text_per_page
+                block = cursor % text_per_page * text_step
+            else:
+                i = cursor - text_len
+                vpage = DATA_VBASE + i // data_per_page
+                block = i % data_per_page * data_step
+            cursor += 1
+            if cursor == n_hot:
+                cursor = 0
             is_text = vpage < DATA_VBASE
             write = (not is_text) and rng.random() < action.write_fraction
             frame = k.translate(proc, process, vpage, write)

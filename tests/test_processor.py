@@ -220,8 +220,11 @@ def _state(memsys, procs, txns, probes):
             for p in procs
         ],
         "counts": (truth.counts, truth.dispossame_counts, truth.events),
+        # Full contents, tags and present-set, of every cache: the
+        # pickled state covers the direct-mapped tag list and the
+        # associative per-set lists alike.
         "caches": [
-            (h.icache._ways, h.dl1._ways, h.dl2._ways)
+            (h.icache.__getstate__(), h.dl1.__getstate__(), h.dl2.__getstate__())
             for h in memsys.hierarchies
         ],
         "owner": memsys._owner,

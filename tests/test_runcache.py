@@ -20,6 +20,14 @@ from repro.api import RunSettings, TracedRun
 HORIZON, WARMUP, SEED = 2.0, 5.0, 11
 
 
+@pytest.fixture(autouse=True)
+def _cache_env(monkeypatch):
+    """These tests pin their own cache dirs; the ambient env must not
+    silently disable or relocate them."""
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+
 @pytest.fixture
 def cache(tmp_path) -> RunCache:
     return RunCache(cache_dir=tmp_path / "cache")
