@@ -5,9 +5,10 @@ times a fixed amount of work regardless of the default ladder top.
 """
 
 from benchmarks.conftest import run_exhibit
+from repro.experiments import scaling
 
 
 def test_bench_scaling_8cpu(benchmark, ctx, monkeypatch):
-    monkeypatch.setenv("REPRO_SCALING_CPUS", "4 8")
+    monkeypatch.setattr(scaling, "_DEFAULT_TOP", "cpus8")
     exhibit = run_exhibit(benchmark, ctx, "figure-scaling")
     assert [row[1] for row in exhibit.rows] == [4, 8]

@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.report import AnalysisReport, analyze_trace
+from repro.analysis.report import AnalysisReport
 from repro.fidelity import validate_fidelity
 from repro.machines import DEFAULT_MACHINE, MachineSpec, canonical_machine
 from repro.sanitizers import check_enabled_by_env, deep_check_enabled_by_env
@@ -129,13 +129,13 @@ _ENGINE_DEFAULTS = {
 
 
 class ExperimentContext:
-    """Caches one traced run + analysis per workload per settings.
+    """Holds one traced run + analysis per workload per settings.
 
-    Two cache layers, both keyed by the resolved :class:`RunSettings`:
-    an in-memory dict, and — when a :class:`RunCache` is supplied — the
-    persistent on-disk store, so a fresh process reloads finished runs
-    instead of re-simulating them. Both layers are transparent: a
-    context with a warm disk cache hands out runs and reports
+    One map, keyed by workload and resolved :class:`RunSettings`, holds
+    each ``(run, report)`` pair that :meth:`run` and :meth:`report`
+    hand out. A :class:`RunCache`, when supplied, sits behind it, so a
+    fresh process reloads finished runs instead of re-simulating them.
+    A context with a warm disk cache hands out runs and reports
     byte-identical to a cold serial context.
     """
 
@@ -149,8 +149,9 @@ class ExperimentContext:
         # Benchmarks flip this off: they want cached *runs* (shared
         # input state) but must still time the exhibit derivations.
         self.cache_exhibits = True
-        self._runs: Dict[Tuple[str, RunSettings], TracedRun] = {}
-        self._reports: Dict[Tuple[str, RunSettings], AnalysisReport] = {}
+        self._runs: Dict[
+            Tuple[str, RunSettings], Tuple[TracedRun, AnalysisReport]
+        ] = {}
         self.exhibit_cache: Dict[str, "Exhibit"] = {}
         # Checked runs the experiments simulate privately, kept so the
         # CLI's --check report covers them too.
@@ -175,44 +176,23 @@ class ExperimentContext:
             )
         return dataclasses.replace(self.settings, **overrides)
 
-    def run(self, workload: str, **overrides) -> TracedRun:
+    def _entry(
+        self, workload: str, overrides: Dict
+    ) -> Tuple[TracedRun, AnalysisReport]:
         settings = self._settings_for(overrides)
         key = (workload, settings)
         if key not in self._runs:
-            run, report = load_or_run(
+            self._runs[key] = load_or_run(
                 self.cache, workload, settings.horizon_ms,
                 settings.warmup_ms, settings.seed, settings.sim_kwargs(),
             )
-            self._runs[key] = run
-            if report is not None:
-                self._reports.setdefault(key, report)
         return self._runs[key]
 
+    def run(self, workload: str, **overrides) -> TracedRun:
+        return self._entry(workload, overrides)[0]
+
     def report(self, workload: str, **overrides) -> AnalysisReport:
-        settings = self._settings_for(overrides)
-        key = (workload, settings)
-        if key not in self._reports:
-            if key in self._runs:
-                # Run already in memory (possibly mid-upgrade from a
-                # report-less disk entry): analyze it and persist the
-                # completed pair.
-                run = self._runs[key]
-                report = analyze_trace(run)
-                if self.cache is not None:
-                    cache_key = self.cache.run_key(
-                        workload, settings.horizon_ms, settings.warmup_ms,
-                        settings.seed, settings.sim_kwargs(),
-                    )
-                    self.cache.store(cache_key, {"run": run, "report": report})
-            else:
-                run, report = load_or_run(
-                    self.cache, workload, settings.horizon_ms,
-                    settings.warmup_ms, settings.seed, settings.sim_kwargs(),
-                    analyze=True,
-                )
-                self._runs[key] = run
-            self._reports[key] = report
-        return self._reports[key]
+        return self._entry(workload, overrides)[1]
 
     def note_private_run(self, run: TracedRun) -> TracedRun:
         """Register an experiment-private run for sanitizer reporting.
@@ -229,7 +209,7 @@ class ExperimentContext:
         """Every distinct run behind this context's exhibits."""
         seen = set()
         out = []
-        for run in list(self._runs.values()) + self.private_runs:
+        for run in [run for run, _ in self._runs.values()] + self.private_runs:
             if id(run) in seen:
                 continue
             seen.add(id(run))

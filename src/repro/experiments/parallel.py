@@ -5,23 +5,18 @@ across a :mod:`multiprocessing` pool:
 
 1. **Base workload simulations** — the three traced runs (pmake,
    multpgm, oracle) every exhibit derives from are simulated and
-   analyzed concurrently, one worker each.
+   analyzed concurrently, one worker each, and land in the caller's
+   context.
 2. **Exhibit derivations** — each exhibit's ``build`` (including the
-   ablations' private simulations) runs as an independent pool task
-   against a per-worker :class:`ExperimentContext` pre-warmed with the
-   base runs.
+   ablations' private simulations) runs as an independent pool task on
+   a fresh :class:`ExperimentContext` seeded with the base runs. The
+   pool initializer hands the base runs over, and a worker returns only
+   the exhibit: the runs a build adds (sweep points, ablation variants)
+   die with its context.
 
-Results merge back into the caller's context (runs, reports and built
-exhibits alike), so downstream consumers — charts, further exhibits,
-the CLI's printing loop — observe exactly the state a serial run would
-have produced. Every simulation is deterministic given (workload,
-settings, seed), and exhibits are emitted in request order, so parallel
-output is byte-identical to serial output.
-
-Workers share work products through the persistent
-:class:`~repro.sim.runcache.RunCache` when one is configured; with the
-cache disabled, base runs are shipped to workers through the pool
-initializer instead (finished :class:`TracedRun` objects are picklable).
+Every simulation is deterministic given (workload, settings, seed), and
+exhibits are emitted in request order, so parallel output is
+byte-identical to serial output.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ import traceback
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments._base import ExperimentContext
-from repro.sim.runcache import RunCache
 
 BASE_WORKLOADS = ("pmake", "multpgm", "oracle")
 
@@ -71,22 +65,6 @@ def default_jobs() -> int:
 
 
 # ----------------------------------------------------------------------
-# Cache handles cross the process boundary as (dir, enabled) specs.
-# ----------------------------------------------------------------------
-def _cache_spec(cache: Optional[RunCache]):
-    if cache is None:
-        return None
-    return (str(cache.cache_dir), cache.enabled)
-
-
-def _cache_from_spec(spec) -> Optional[RunCache]:
-    if spec is None:
-        return None
-    cache_dir, enabled = spec
-    return RunCache(cache_dir=cache_dir, enabled=enabled)
-
-
-# ----------------------------------------------------------------------
 # Pool workers (top-level functions so they pickle under any start
 # method).
 # ----------------------------------------------------------------------
@@ -98,21 +76,17 @@ def _simulate_base_workload(task):
 
 
 def _simulate_base_workload_inner(task):
-    workload, settings, spec = task
-    ctx = ExperimentContext(settings, cache=_cache_from_spec(spec))
-    report = ctx.report(workload)
-    return workload, ctx.run(workload), report
+    workload, settings, cache = task
+    ctx = ExperimentContext(settings, cache=cache)
+    return workload, ctx.run(workload), ctx.report(workload)
 
 
-_worker_ctx: Optional[ExperimentContext] = None
+_worker_seed: Optional[tuple] = None
 
 
-def _init_exhibit_worker(settings, spec, base_entries):
-    global _worker_ctx
-    _worker_ctx = ExperimentContext(settings, cache=_cache_from_spec(spec))
-    if base_entries:
-        _worker_ctx._runs.update(base_entries["runs"])
-        _worker_ctx._reports.update(base_entries["reports"])
+def _init_exhibit_worker(settings, cache, cache_exhibits, base_runs):
+    global _worker_seed
+    _worker_seed = (settings, cache, cache_exhibits, base_runs)
 
 
 def _build_exhibit(exhibit_id: str):
@@ -124,16 +98,14 @@ def _build_exhibit(exhibit_id: str):
 def _build_exhibit_inner(exhibit_id: str):
     from repro.experiments.registry import run_experiment
 
-    ctx = _worker_ctx
-    assert ctx is not None, "worker used without initializer"
-    known_runs = set(ctx._runs)
-    known_reports = set(ctx._reports)
-    exhibit = run_experiment(exhibit_id, ctx)
-    # New runs this build created (ablation variants, sweeps) travel
-    # back so the parent context ends up in serial-identical state.
-    runs_delta = {k: ctx._runs[k] for k in set(ctx._runs) - known_runs}
-    reports_delta = {k: ctx._reports[k] for k in set(ctx._reports) - known_reports}
-    return exhibit_id, exhibit, runs_delta, reports_delta
+    assert _worker_seed is not None, "worker used without initializer"
+    settings, cache, cache_exhibits, base_runs = _worker_seed
+    # A fresh context per exhibit, so the runs one build adds are freed
+    # with it instead of piling up in the worker.
+    ctx = ExperimentContext(settings, cache=cache)
+    ctx.cache_exhibits = cache_exhibits
+    ctx._runs.update(base_runs)
+    return run_experiment(exhibit_id, ctx)
 
 
 # ----------------------------------------------------------------------
@@ -158,23 +130,19 @@ def _pool_map(pool, fn, tasks, stage: str):
 
 def warm_base_runs(ctx: ExperimentContext, jobs: int) -> None:
     """Simulate + analyze the three base workloads, ``jobs`` at a time."""
-    missing = [
-        w for w in BASE_WORKLOADS if (w, ctx.settings) not in ctx._reports
-    ]
+    missing = [w for w in BASE_WORKLOADS if (w, ctx.settings) not in ctx._runs]
     if not missing:
         return
     if jobs <= 1 or len(missing) == 1:
         for workload in missing:
             ctx.report(workload)
         return
-    tasks = [(w, ctx.settings, _cache_spec(ctx.cache)) for w in missing]
+    tasks = [(w, ctx.settings, ctx.cache) for w in missing]
     with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
         for workload, run, report in _pool_map(
             pool, _simulate_base_workload, tasks, "base-run simulation"
         ):
-            key = (workload, ctx.settings)
-            ctx._runs.setdefault(key, run)
-            ctx._reports.setdefault(key, report)
+            ctx._runs[(workload, ctx.settings)] = (run, report)
 
 
 def run_exhibits(
@@ -185,8 +153,9 @@ def run_exhibits(
     """Build ``exhibit_ids`` with up to ``jobs`` workers.
 
     Returns ``[(exhibit_id, Exhibit), ...]`` in request order and leaves
-    ``ctx`` holding every run, report and exhibit the builds produced —
-    the same state a serial pass over the ids would leave behind.
+    ``ctx`` holding the base runs and every exhibit. The runs a worker's
+    build adds stay in the worker; each built exhibit is stored on disk
+    by the worker that built it.
     """
     from repro.experiments.registry import get_experiment, run_experiment
 
@@ -209,30 +178,13 @@ def run_exhibits(
         return [(e, run_experiment(e, ctx)) for e in exhibit_ids]
 
     warm_base_runs(ctx, jobs)
-
-    # With a live disk cache workers re-load the base runs themselves;
-    # without one the runs ship through the initializer (once per
-    # worker process).
-    base_entries = None
-    if ctx.cache is None or not ctx.cache.enabled:
-        base_keys = [(w, ctx.settings) for w in BASE_WORKLOADS]
-        base_entries = {
-            "runs": {k: ctx._runs[k] for k in base_keys if k in ctx._runs},
-            "reports": {k: ctx._reports[k] for k in base_keys if k in ctx._reports},
-        }
-
+    base_keys = [(w, ctx.settings) for w in BASE_WORKLOADS]
+    base_runs = {key: ctx._runs[key] for key in base_keys}
     with multiprocessing.Pool(
         processes=min(jobs, len(todo)),
         initializer=_init_exhibit_worker,
-        initargs=(ctx.settings, _cache_spec(ctx.cache), base_entries),
+        initargs=(ctx.settings, ctx.cache, ctx.cache_exhibits, base_runs),
     ) as pool:
-        for exhibit_id, exhibit, runs_delta, reports_delta in _pool_map(
-            pool, _build_exhibit, todo, "exhibit build"
-        ):
-            ctx.exhibit_cache[exhibit_id] = exhibit
-            ctx.store_cached_exhibit(exhibit_id, exhibit)
-            for key, run in runs_delta.items():
-                ctx._runs.setdefault(key, run)
-            for key, report in reports_delta.items():
-                ctx._reports.setdefault(key, report)
+        built = _pool_map(pool, _build_exhibit, todo, "exhibit build")
+    ctx.exhibit_cache.update(zip(todo, built))
     return [(e, ctx.exhibit_cache[e]) for e in exhibit_ids]

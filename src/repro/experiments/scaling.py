@@ -16,13 +16,12 @@ and the persistent run cache all apply to every point of the sweep.
 
 from __future__ import annotations
 
-import os
 from typing import List, Tuple
 
 from repro.analysis.lockstats import failed_acquires_per_ms
 from repro.common.types import MissClass, RefDomain
 from repro.experiments._base import Exhibit, ExperimentContext, RunSettings
-from repro.machines import DEFAULT_MACHINE, LADDER, MACHINES, machine_for_cpus
+from repro.machines import DEFAULT_MACHINE, LADDER, MACHINES
 
 EXHIBIT_ID = "figure-scaling"
 TITLE = "Lock contention and OS misses vs CPU count (Multpgm)"
@@ -41,18 +40,13 @@ _LOCKS_SHOWN = ("runqlk", "memlock", "bfreelock", "calock")
 _SETTINGS = RunSettings(horizon_ms=30.0, warmup_ms=250.0)
 
 # The ladder is swept up to this preset by default; pick a machine
-# (``--machine cpus64`` caps the ladder there) or set REPRO_SCALING_CPUS
-# (CPU counts, e.g. "4 8 32") to change the swept geometries.
+# (``--machine cpus64`` caps the ladder there) to change the swept
+# geometries.
 _DEFAULT_TOP = "cpus16"
-_ENV_SWEEP = "REPRO_SCALING_CPUS"
 
 
 def sweep_machines(ctx: ExperimentContext) -> List[str]:
     """The preset names this sweep will run, smallest first."""
-    env = os.environ.get(_ENV_SWEEP)
-    if env:
-        tokens = env.replace(",", " ").split()
-        return [machine_for_cpus(int(token)) for token in tokens]
     machine = ctx.settings.machine
     top = _DEFAULT_TOP
     if isinstance(machine, str) and machine in LADDER \

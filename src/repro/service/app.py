@@ -182,12 +182,9 @@ class ServiceApp:
             enabled=not self.config.no_cache,
         )
         self.ctx = ExperimentContext(self.config.settings, cache=self.cache)
-        cache_spec = None
-        if self.cache.enabled:
-            cache_spec = (str(self.cache.cache_dir), True)
         self.jobs = jobs if jobs is not None else JobManager(
             self.config.settings,
-            cache_spec=cache_spec,
+            cache=self.cache if self.cache.enabled else None,
             max_workers=self.config.max_workers,
             queue_depth=self.config.queue_depth,
             job_timeout_s=self.config.job_timeout_s,

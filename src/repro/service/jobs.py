@@ -96,24 +96,21 @@ class Job:
         return payload
 
 
-def build_exhibit_payload(exhibit_id: str, settings, cache_spec):
+def build_exhibit_payload(exhibit_id: str, settings, cache):
     """Worker-process entry point: build one exhibit and return its
     :meth:`Exhibit.to_dict` payload.
 
-    Runs in a :class:`ProcessPoolExecutor` child. The context is built
-    fresh per call (child processes are reused across jobs, but a
-    context per job keeps memory bounded and semantics identical to a
-    CLI invocation); the persistent run cache turns repeat work into
-    loads, including the three base-workload simulations.
+    Runs in a :class:`ProcessPoolExecutor` child, which receives the
+    service's :class:`~repro.sim.runcache.RunCache` (or None) pickled.
+    The context is built fresh per call (child processes are reused
+    across jobs, but a context per job keeps memory bounded and
+    semantics identical to a CLI invocation); the persistent run cache
+    turns repeat work into loads, including the three base-workload
+    simulations.
     """
     from repro.experiments._base import ExperimentContext
     from repro.experiments.registry import run_experiment
-    from repro.sim.runcache import RunCache
 
-    cache = None
-    if cache_spec is not None:
-        cache_dir, enabled = cache_spec
-        cache = RunCache(cache_dir=cache_dir, enabled=enabled)
     ctx = ExperimentContext(settings, cache=cache)
     return run_experiment(exhibit_id, ctx).to_dict()
 
@@ -130,7 +127,7 @@ class JobManager:
     def __init__(
         self,
         settings,
-        cache_spec=None,
+        cache=None,
         max_workers: int = 2,
         queue_depth: int = 8,
         job_timeout_s: float = 600.0,
@@ -139,7 +136,7 @@ class JobManager:
         metrics=None,
     ):
         self.settings = settings
-        self.cache_spec = cache_spec
+        self.cache = cache
         self.max_workers = max(1, max_workers)
         self.queue_depth = max(1, queue_depth)
         self.job_timeout_s = job_timeout_s
@@ -300,7 +297,7 @@ class JobManager:
         self.busy_workers += 1
         future = loop.run_in_executor(
             self._executor, self.runner,
-            job.exhibit_id, job.settings, self.cache_spec,
+            job.exhibit_id, job.settings, self.cache,
         )
         self._tasks_by_job[job.job_id] = future
         try:

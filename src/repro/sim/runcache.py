@@ -122,7 +122,7 @@ class RunCache:
 
     Payloads are plain dicts; the two entry kinds used today are
 
-    - run entries: ``{"run": TracedRun, "report": AnalysisReport|None}``
+    - run entries: ``{"run": TracedRun, "report": AnalysisReport}``
     - exhibit entries: ``{"exhibit": Exhibit}``
     """
 
@@ -358,9 +358,8 @@ def load_or_run(
     warmup_ms: float,
     seed: int,
     sim_kwargs: Optional[Dict[str, Any]] = None,
-    analyze: bool = False,
 ):
-    """Fetch ``(TracedRun, AnalysisReport|None)``, simulating on a miss.
+    """Fetch ``(TracedRun, AnalysisReport)``, simulating on a miss.
 
     ``sim_kwargs`` are :class:`~repro.experiments._base.RunSettings`
     engine fields. They key the run as ``RunSettings.sim_kwargs()``
@@ -368,10 +367,11 @@ def load_or_run(
     entries stay valid) and ``REPRO_CHECK`` folded in (so checked and
     unchecked runs never cross-reuse).
 
-    With ``analyze=True`` the analysis report is computed (and cached)
-    too; a cached run whose entry predates the report request is
-    upgraded in place.
+    A cold run is simulated, analyzed and stored once, as
+    ``{"run": run, "report": report}``. An entry without a report is
+    treated as a miss: the run is simulated and stored again.
     """
+    from repro.analysis.report import analyze_trace
     from repro.experiments._base import RunSettings
     from repro.sim._session import Simulation
 
@@ -396,10 +396,7 @@ def load_or_run(
                     claimed = cache.claim(key)
         if payload is not None:
             run, report = payload.get("run"), payload.get("report")
-            if run is not None:
-                if analyze and report is None:
-                    report = _analyze(run)
-                    cache.store(key, {"run": run, "report": report})
+            if run is not None and report is not None:
                 return run, report
     try:
         run = None
@@ -432,7 +429,7 @@ def load_or_run(
                     ),
                 )
             run = sim.run(horizon_ms, warmup_ms=warmup_ms)
-        report = _analyze(run) if analyze else None
+        report = analyze_trace(run)
         if cache is not None and key is not None:
             cache.store(key, {"run": run, "report": report})
     finally:
@@ -440,8 +437,3 @@ def load_or_run(
             cache.release(key)
     return run, report
 
-
-def _analyze(run):
-    from repro.analysis.report import analyze_trace
-
-    return analyze_trace(run)

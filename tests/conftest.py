@@ -22,6 +22,16 @@ _CACHE = RunCache()
 
 
 @pytest.fixture
+def cache_env(monkeypatch):
+    """For tests that pin their own cache dirs: the ambient env must not
+    silently disable or relocate them (CI runs tier-1 under
+    ``REPRO_NO_CACHE=1``). Not autouse, so a bare ``RunCache()`` still
+    honours the env."""
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+
+
+@pytest.fixture
 def params() -> MachineParams:
     return MachineParams()
 

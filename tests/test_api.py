@@ -189,6 +189,7 @@ class TestExhibitFacade:
         assert exhibit.exhibit_id == "table11"
         assert exhibit.rows
 
+    @pytest.mark.usefixtures("cache_env")
     def test_exhibit_uses_cache(self, tmp_path):
         from repro.api import RunCache
 

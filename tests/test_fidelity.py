@@ -100,6 +100,7 @@ class TestCheckpointRoundTrip:
 
 
 class TestMixedSeamCheckpoint:
+    @pytest.mark.usefixtures("cache_env")
     def test_seam_checkpoint_reuse_is_byte_identical(self, tmp_path):
         """Warm mixed runs (checkpoint restore + window only) equal cold
         mixed runs, via the real run-cache path twice in a row."""
@@ -134,6 +135,7 @@ class TestMixedSeamCheckpoint:
         assert _trace(warm) == _trace(cold)
 
 
+@pytest.mark.usefixtures("cache_env")
 class TestCacheKeys:
     def test_fidelity_in_run_key(self, tmp_path):
         cache = RunCache(cache_dir=tmp_path / "cache")

@@ -327,17 +327,9 @@ class TestServiceMachineParam:
 
 
 class TestScalingExperiment:
-    def test_sweep_honors_env(self, monkeypatch):
+    def test_sweep_caps_at_context_machine(self):
         from repro.experiments import scaling
 
-        monkeypatch.setenv("REPRO_SCALING_CPUS", "4, 8 32")
-        ctx = ExperimentContext(RunSettings())
-        assert scaling.sweep_machines(ctx) == ["4d340", "cpus8", "cpus32"]
-
-    def test_sweep_caps_at_context_machine(self, monkeypatch):
-        from repro.experiments import scaling
-
-        monkeypatch.delenv("REPRO_SCALING_CPUS", raising=False)
         ctx = ExperimentContext(RunSettings(machine="cpus8"))
         assert scaling.sweep_machines(ctx) == ["4d340", "cpus8"]
         ctx = ExperimentContext(RunSettings(machine="cpus64"))
@@ -346,11 +338,12 @@ class TestScalingExperiment:
         ctx = ExperimentContext(RunSettings())
         assert scaling.sweep_machines(ctx) == ["4d340", "cpus8", "cpus16"]
 
-    def test_build_and_alias(self, monkeypatch):
+    def test_build_and_alias(self):
         from repro.experiments.registry import run_experiment
 
-        monkeypatch.setenv("REPRO_SCALING_CPUS", "4 8")
-        ctx = ExperimentContext(RunSettings(horizon_ms=2.0, warmup_ms=10.0))
+        ctx = ExperimentContext(
+            RunSettings(horizon_ms=2.0, warmup_ms=10.0, machine="cpus8")
+        )
         exhibit = run_experiment("scaling", ctx)
         assert exhibit.exhibit_id == "figure-scaling"
         assert [row[0] for row in exhibit.rows] == ["4d340", "cpus8"]

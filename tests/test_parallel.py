@@ -35,6 +35,7 @@ def test_parallel_matches_serial_without_cache(serial_texts):
         assert exhibit.to_text() == serial_texts[exhibit_id]
 
 
+@pytest.mark.usefixtures("cache_env")
 def test_parallel_matches_serial_with_cache(serial_texts, tmp_path):
     cold = ExperimentContext(_SMALL, cache=RunCache(cache_dir=tmp_path))
     built = parallel.run_exhibits(cold, _EXHIBITS, jobs=3)
@@ -67,16 +68,17 @@ def test_parallel_matches_serial_at_non_default_settings(settings):
     assert {e: exhibit.to_text() for e, exhibit in built} == serial
 
 
-def test_parallel_merges_state_back(serial_texts):
-    """After a parallel build the context looks like a serial one."""
+def test_parallel_keeps_only_base_runs(serial_texts):
+    """Workers return only exhibits: the caller's context holds the three
+    base runs and none of the five runs figure-skew's sweep adds."""
     ctx = ExperimentContext(_SMALL)
-    parallel.run_exhibits(ctx, _EXHIBITS, jobs=3)
-    assert set(_EXHIBITS) <= set(ctx.exhibit_cache)
-    # Base runs were merged back, so further serial derivations reuse
-    # them (and agree with the fully serial reference).
-    for workload in parallel.BASE_WORKLOADS:
-        assert (workload, ctx.settings) in ctx._runs
-        assert (workload, ctx.settings) in ctx._reports
+    parallel.run_exhibits(ctx, ["table1", "figure-skew"], jobs=2)
+    assert {"table1", "figure-skew"} <= set(ctx.exhibit_cache)
+    assert ctx.exhibit_cache["table1"].to_text() == serial_texts["table1"]
+    assert set(ctx._runs) == {
+        (workload, ctx.settings) for workload in parallel.BASE_WORKLOADS
+    }
+    # Further serial derivations reuse the base runs.
     assert run_experiment("table4", ctx).to_text()
 
 

@@ -20,12 +20,8 @@ from repro.api import RunSettings, TracedRun
 HORIZON, WARMUP, SEED = 2.0, 5.0, 11
 
 
-@pytest.fixture(autouse=True)
-def _cache_env(monkeypatch):
-    """These tests pin their own cache dirs; the ambient env must not
-    silently disable or relocate them."""
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+# These tests pin their own cache dirs.
+pytestmark = pytest.mark.usefixtures("cache_env")
 
 
 @pytest.fixture
@@ -54,14 +50,43 @@ class TestHitMiss:
         assert run2.measure_from_cycles == run.measure_from_cycles
         assert list(run2.trace.all_entries()) == list(run.trace.all_entries())
 
-    def test_report_upgrade_persists(self, cache):
-        _get(cache)  # stores run with report=None
-        _, report = _get(cache, analyze=True)  # hit; upgrades entry in place
+    def test_cold_run_stores_its_report(self, cache):
+        _, report = _get(cache)
         assert isinstance(report, AnalysisReport)
         fresh = RunCache(cache_dir=cache.cache_dir)
-        _, report2 = _get(fresh, analyze=True)
-        assert (fresh.hits, fresh.misses) == (1, 0)
+        _, report2 = _get(fresh)
+        assert (fresh.hits, fresh.misses, fresh.stores) == (1, 0, 0)
         assert report2.analysis.user_ticks == report.analysis.user_ticks
+        payload = fresh.load(cache.run_key("pmake", HORIZON, WARMUP, SEED))
+        assert list(payload) == ["run", "report"]
+
+    def test_report_less_entry_is_a_miss(self, cache):
+        """An entry stored without its report is simulated again, and
+        the new entry carries the report."""
+        run, _ = _get(cache)
+        key = cache.run_key("pmake", HORIZON, WARMUP, SEED)
+        cache.store(key, {"run": run, "report": None})
+        fresh = RunCache(cache_dir=cache.cache_dir)
+        rerun, report = _get(fresh)
+        assert isinstance(report, AnalysisReport)
+        assert fresh.stores == 1
+        assert list(rerun.trace.all_entries()) == list(run.trace.all_entries())
+        assert isinstance(fresh.load(key)["report"], AnalysisReport)
+
+    def test_context_run_then_report_stores_once(self, cache):
+        """A cold ctx.run() then ctx.report() simulates, analyzes and
+        stores the run once; both read the same in-memory entry."""
+        from repro.api import ExperimentContext
+
+        ctx = ExperimentContext(
+            RunSettings(horizon_ms=HORIZON, warmup_ms=WARMUP, seed=SEED),
+            cache=cache,
+        )
+        run = ctx.run("pmake")
+        report = ctx.report("pmake")
+        assert (cache.misses, cache.stores) == (1, 1)
+        assert len(list(cache.cache_dir.glob("run-*.pkl"))) == 1
+        assert ctx._runs == {("pmake", ctx.settings): (run, report)}
 
     def test_run_equivalent_to_fresh_simulation(self, cache):
         """A cache round-trip and a fresh simulation record the same trace."""
@@ -306,13 +331,13 @@ class TestClaimLock:
     def test_load_or_run_dedups_against_claim_holder(self, cache):
         import threading
 
-        run, _ = _get(None)
+        run, report = _get(None)
         key = cache.run_key("pmake", HORIZON, WARMUP, SEED)
         winner = RunCache(cache_dir=cache.cache_dir)
         assert winner.claim(key)
 
         def publish():
-            winner.store(key, {"run": run, "report": None})
+            winner.store(key, {"run": run, "report": report})
             winner.release(key)
 
         timer = threading.Timer(0.3, publish)

@@ -25,6 +25,9 @@ from repro.service.server import ExhibitServer
 
 _SHORT = RunSettings(horizon_ms=1.0, warmup_ms=5.0, seed=5)
 
+# Service tests pin their own cache dirs.
+pytestmark = pytest.mark.usefixtures("cache_env")
+
 
 # ----------------------------------------------------------------------
 # Stub runners (executed on a ThreadPoolExecutor in tests)
@@ -332,14 +335,6 @@ def _app(tmp_path, runner=_stub_runner, **config_kwargs):
     return ServiceApp(config, jobs=jobs)
 
 
-@pytest.fixture(autouse=True)
-def _cache_env(monkeypatch):
-    """Service tests pin their own cache dirs; the ambient env must not
-    silently disable or relocate them."""
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-
-
 class TestServiceApp:
     def test_healthz(self, tmp_path):
         app = _app(tmp_path)
@@ -531,7 +526,7 @@ class TestServiceApp:
             )
             jobs = JobManager(  # real build_exhibit_payload, on threads
                 config.settings,
-                cache_spec=(str(tmp_path / "cache"), True),
+                cache=RunCache(cache_dir=tmp_path / "cache"),
                 max_workers=1,
                 queue_depth=4,
                 executor=ThreadPoolExecutor(max_workers=1),

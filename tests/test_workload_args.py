@@ -72,6 +72,7 @@ class TestResolved:
         assert by_pairs != bare
 
 
+@pytest.mark.usefixtures("cache_env")
 class TestRunKeys:
     def test_tuned_key_differs(self, cache):
         base = cache.run_key("kv", 2.0, 0.0, 3)
