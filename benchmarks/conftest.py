@@ -8,22 +8,36 @@ table it regenerates.
 
 from __future__ import annotations
 
-import os
+import gc
 
 import pytest
 
-from repro.api import ExperimentContext, RunSettings
+from repro.api import ExperimentContext
+from repro.experiments._base import resolve_settings
 from repro.sim.runcache import RunCache
 
 # Full-quality settings (the same steady-state window the experiments
-# CLI uses by default). CI shrinks the window via the environment to
-# keep its benchmark-artifact job fast; local runs keep full fidelity.
-_DEFAULTS = RunSettings()
-SETTINGS = RunSettings(
-    horizon_ms=float(os.environ.get("REPRO_BENCH_HORIZON_MS", _DEFAULTS.horizon_ms)),
-    warmup_ms=float(os.environ.get("REPRO_BENCH_WARMUP_MS", _DEFAULTS.warmup_ms)),
-    seed=_DEFAULTS.seed,
-)
+# CLI uses by default). Only the window rows read the environment: CI
+# shrinks it with REPRO_BENCH_HORIZON_MS / REPRO_BENCH_WARMUP_MS to keep
+# its benchmark-artifact job fast, while REPRO_MACHINE, REPRO_FIDELITY
+# and REPRO_FAST_FORWARD leave the timed workload as the baseline has it.
+SETTINGS = resolve_settings(names=("horizon_ms", "warmup_ms"))
+
+
+@pytest.fixture(autouse=True)
+def same_gc_state():
+    """Start every timed entry from the same cyclic-GC state.
+
+    The runs a session holds (and the garbage earlier entries leave)
+    otherwise set when full collections fire and how much each one
+    walks, so an entry's time would depend on what ran before it. Each
+    entry starts with garbage collected and every older object frozen
+    out of the collector's view.
+    """
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
 
 
 @pytest.fixture(scope="session")

@@ -42,13 +42,13 @@ from typing import Optional, Union
 
 from repro.analysis.report import AnalysisReport, analyze_trace
 from repro.common.params import MachineParams
-from repro.experiments._base import Exhibit, ExperimentContext, RunSettings
-from repro.fidelity import (
-    FIDELITY_LEVELS,
-    UnsupportedFidelityError,
-    resolve_fast_forward,
-    resolve_fidelity,
+from repro.experiments._base import (
+    Exhibit,
+    ExperimentContext,
+    RunSettings,
+    resolve_settings,
 )
+from repro.fidelity import FIDELITY_LEVELS, UnsupportedFidelityError
 from repro.fidelity.checkpoint import EngineCheckpoint
 from repro.fidelity.validate import FidelityValidation, validate_workload
 from repro.kernel.kernel import KernelTuning
@@ -99,8 +99,6 @@ __all__ = [
     "machine_for_cpus",
     "make_workload",
     "report",
-    "resolve_fast_forward",
-    "resolve_fidelity",
     "resolve_machine",
     "run",
     "run_traced_workload",
@@ -202,13 +200,16 @@ def exhibit(
     Accepts the :class:`RunSettings` fields as keyword arguments —
     including ``machine="cpus16"`` (a preset name or
     :class:`MachineParams`) to build the exhibit on a scaled geometry;
-    an unknown name raises :class:`TypeError`. By default the persistent
-    run cache is used, so a previously built exhibit loads in
-    milliseconds — the same storage and key the ``repro-experiments``
-    CLI and ``repro.service`` use, which is what makes
-    ``exhibit("table1").to_json()`` byte-identical to the service's
-    ``GET /exhibits/table1`` body. Pass ``cache=False`` to force a
-    fresh build, or share a prepared ``ctx`` across calls.
+    an unknown name raises :class:`TypeError`. A setting not passed comes
+    from its env var (``REPRO_BENCH_HORIZON_MS``, ``REPRO_MACHINE``, ...)
+    as it does for the CLI and the service, and a value no exhibit can
+    be built from (``fidelity="atomic"``) raises :class:`ValueError`.
+    By default the persistent run cache is used, so a previously built
+    exhibit loads in milliseconds — the same storage and key the
+    ``repro-experiments`` CLI and ``repro.service`` use, which is what
+    makes ``exhibit("table1").to_json()`` byte-identical to the
+    service's ``GET /exhibits/table1`` body. Pass ``cache=False`` to
+    force a fresh build, or share a prepared ``ctx`` across calls.
     """
     from repro.experiments.registry import run_experiment
 
@@ -224,7 +225,7 @@ def exhibit(
             cache = RunCache()
         elif cache is False:
             cache = RunCache(enabled=False)
-        ctx = ExperimentContext(RunSettings(**settings), cache=cache)
+        ctx = ExperimentContext(resolve_settings(settings), cache=cache)
     elif settings or cache is not None:
         raise TypeError("pass either ctx= or settings/cache, not both")
     return run_experiment(exhibit_id, ctx)

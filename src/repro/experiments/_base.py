@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.analysis.report import AnalysisReport
-from repro.fidelity import validate_fidelity
-from repro.machines import DEFAULT_MACHINE, MachineSpec, canonical_machine
+from repro.fidelity import FIDELITY_LEVELS, validate_fidelity
+from repro.machines import (
+    DEFAULT_MACHINE, MACHINES, MachineSpec, canonical_machine, machine_for_cpus,
+)
 from repro.sanitizers import check_enabled_by_env, deep_check_enabled_by_env
 from repro.sim.runcache import RunCache, load_or_run
 from repro.sim._session import TracedRun
-from repro.workloads import canonical_workload_args
+from repro.workloads import canonical_workload_args, parse_workload_args
 
 # Exhibit.to_dict() payload schema. Version 2 added the explicit
 # "schema_version" field itself (version-1 payloads carry none);
@@ -40,27 +45,26 @@ class RunSettings:
     This is the one place run settings are resolved: construction
     validates and canonicalizes the engine fields and folds
     ``REPRO_CHECK`` into ``check``, and :meth:`sim_kwargs` is what every
-    run, cache key, service job and experiment reads.
+    run, cache key, service job and experiment reads. The flags, env
+    vars and query params that set each field are its row in
+    :data:`SETTINGS_TABLE`, read by :func:`resolve_settings`.
     """
 
     horizon_ms: float = 80.0
     warmup_ms: float = 500.0
     seed: int = 7
-    # Run with the repro.sanitizers invariant checkers installed
-    # (``--check`` / ``REPRO_CHECK=1``); ``"deep"`` also attributes block
-    # sweeps (``--check-deep`` / ``REPRO_CHECK=deep``).
+    # Run with the repro.sanitizers invariant checkers installed;
+    # ``"deep"`` also attributes block sweeps.
     check: Union[bool, str] = False
-    # Engine fidelity tier (``--fidelity`` / ``REPRO_FIDELITY``) and the
-    # mixed tier's atomic reference budget (``--fast-forward`` /
-    # ``REPRO_FAST_FORWARD``).
+    # Engine fidelity tier and the mixed tier's atomic reference budget.
     fidelity: str = "detailed"
     fast_forward: int = 0
-    # Machine geometry (``--machine`` / ``--cpus`` / ``REPRO_MACHINE``):
-    # a preset name from :mod:`repro.machines` or a full MachineParams,
-    # canonicalized so a preset's name and its literal params are equal.
+    # Machine geometry: a preset name from :mod:`repro.machines` or a
+    # full MachineParams, canonicalized so a preset's name and its
+    # literal params are equal.
     machine: MachineSpec = DEFAULT_MACHINE
-    # Workload tuning knobs (``--workload-arg k=v`` / ``?workload_arg=``),
-    # canonicalized to a sorted (name, value) pair tuple.
+    # Workload tuning knobs, canonicalized to a sorted (name, value)
+    # pair tuple.
     workload_args: tuple = ()
 
     def __post_init__(self) -> None:
@@ -121,11 +125,205 @@ class RunSettings:
             f"check={self.check!r}{extra})"
         )
 
+    def sweep_window(self) -> Tuple[float, float]:
+        """``(horizon_ms, warmup_ms)`` for a whole-machine-per-point sweep:
+        an explicit (non-default) value wins, else 30 ms after 250 ms."""
+        horizon, warmup = self.horizon_ms, self.warmup_ms
+        return (
+            30.0 if horizon == RunSettings.horizon_ms else horizon,
+            250.0 if warmup == RunSettings.warmup_ms else warmup,
+        )
+
 
 _ENGINE_DEFAULTS = {
     name: RunSettings.__dataclass_fields__[name].default
     for name in _ENGINE_FIELDS
 }
+
+
+# ----------------------------------------------------------------------
+# The settings table: every user-facing spelling of every field
+# ----------------------------------------------------------------------
+class SettingsError(ValueError):
+    """A rejected setting. ``args[0]`` is the bare message, which the
+    service's 400 body carries beside ``choices``; ``str()`` adds them."""
+
+    def __init__(self, message: str, choices: Sequence[str] = ()):
+        super().__init__(message)
+        self.choices = list(choices)
+
+    def __str__(self) -> str:
+        if not self.choices:
+            return self.args[0]
+        return f"{self.args[0]}; choose from {', '.join(self.choices)}"
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One :class:`RunSettings` field (``name``, also the argparse dest)
+    and every spelling that sets it.
+
+    ``parse`` turns one flag, env or query string (a list of them when
+    ``many``) into the value; without it the flag is a switch storing
+    ``const``. ``alias`` is a second flag: a switch (``--check-deep``)
+    refines the flag and wins over it, one taking a value (``--cpus N``)
+    excludes it.
+    """
+
+    name: str
+    flag: str
+    help: str
+    parse: Optional[Callable[[Any], Any]] = None
+    const: Any = True
+    choices: Tuple[str, ...] = ()
+    env: Optional[str] = None
+    query: Optional[str] = None
+    metavar: Optional[str] = None
+    many: bool = False
+    alias: Optional["Setting"] = None
+
+
+# Adding a knob is one row here (plus its RunSettings field).
+SETTINGS_TABLE: Tuple[Setting, ...] = (
+    Setting("horizon_ms", "--horizon-ms", "traced window per simulation, ms",
+            float, env="REPRO_BENCH_HORIZON_MS", metavar="MS"),
+    Setting("warmup_ms", "--warmup-ms", "warmup before the traced window, ms",
+            float, env="REPRO_BENCH_WARMUP_MS", metavar="MS"),
+    Setting("seed", "--seed", "simulation seed", int),
+    # RunSettings itself folds REPRO_CHECK in, at every construction.
+    Setting("check", "--check",
+            "run with the repro.sanitizers invariant checkers (lockdep, "
+            "races, coherence, LL/SC) and fail on any violation "
+            "(also: REPRO_CHECK=1)", env="REPRO_CHECK",
+            alias=Setting("check_deep", "--check-deep",
+                          "--check plus per-block attribution of dread_block/"
+                          "dwrite_block sweeps (also: REPRO_CHECK=deep)",
+                          const="deep")),
+    # Sorted choices: the order the service's 400 body lists them in.
+    Setting("fidelity", "--fidelity",
+            "engine tier: 'detailed' (exact), or 'mixed' (atomic warmup, "
+            "detailed measured window); 'atomic' (functional-first, no "
+            "trace) is for Simulation-level use, so exhibits reject it",
+            str, choices=tuple(sorted(FIDELITY_LEVELS)),
+            env="REPRO_FIDELITY", query="fidelity"),
+    Setting("fast_forward", "--fast-forward",
+            "mixed tier: hand off to the detailed engine after REFS atomic "
+            "references instead of at the warmup seam",
+            int, env="REPRO_FAST_FORWARD", query="fast_forward", metavar="REFS"),
+    Setting("machine", "--machine",
+            f"machine preset from repro.machines: {', '.join(MACHINES)}",
+            str, choices=tuple(MACHINES), env="REPRO_MACHINE", query="machine",
+            metavar="NAME",
+            alias=Setting("cpus", "--cpus",
+                          "shorthand for --machine: the preset with exactly N CPUs",
+                          lambda text: machine_for_cpus(int(text)), metavar="N")),
+    Setting("workload_args", "--workload-arg",
+            "workload tuning knob (repeatable), e.g. --workload-arg skew=1.2; "
+            "applies to every workload the exhibit runs and folds into the "
+            "cache keys",
+            parse_workload_args, query="workload_arg", metavar="K=V", many=True),
+)
+
+_NOUNS = {int: "an integer", float: "a number"}
+
+
+def _rows(names: Optional[Sequence[str]]) -> List[Setting]:
+    return [row for row in SETTINGS_TABLE if names is None or row.name in names]
+
+
+def _parse(spelling: Setting, raw: Any) -> Any:
+    try:
+        return spelling.parse(raw)
+    except ValueError:
+        noun = _NOUNS.get(spelling.parse)
+        if noun is None:
+            raise
+        raise SettingsError(f"{spelling.name} must be {noun}") from None
+
+
+def add_settings_arguments(
+    parser,
+    names: Optional[Sequence[str]] = None,
+    base: Optional[RunSettings] = None,
+    aliases: bool = True,
+) -> None:
+    """Add the flags of the table's rows (or of ``names``) to an argparse
+    ``parser``. Each defaults to None, "not given", so that
+    :func:`resolve_settings` falls back to the env var, then ``base``."""
+    base = base if base is not None else RunSettings()
+    for row in _rows(names):
+        alias = row.alias if aliases else None
+        target = parser
+        if alias is not None and alias.parse is not None:
+            target = parser.add_mutually_exclusive_group()
+        for spelling in filter(None, (row, alias)):
+            if spelling.parse is None:
+                kwargs = {"action": "store_const", "const": spelling.const}
+            else:
+                kwargs = {
+                    "action": "append" if spelling.many else "store",
+                    "choices": spelling.choices or None,
+                    "metavar": spelling.metavar,
+                }
+            help_text = spelling.help
+            if spelling is row and row.parse is not None and not row.many:
+                env = f"${row.env} or " if row.env else ""
+                help_text += f" (default: {env}{getattr(base, row.name)})"
+            target.add_argument(
+                spelling.flag, dest=spelling.name, help=help_text, **kwargs
+            )
+
+
+def resolve_settings(
+    explicit: Optional[Mapping[str, Any]] = None,
+    *,
+    args=None,
+    query: Optional[Mapping[str, List[str]]] = None,
+    base: Optional[RunSettings] = None,
+    env: Optional[Mapping[str, str]] = None,
+    names: Optional[Sequence[str]] = None,
+) -> RunSettings:
+    """The one settings chain behind every entry point.
+
+    Each field of the table (or of ``names``) takes its explicit value,
+    else its env var (``os.environ`` unless ``env`` is given), else
+    ``base``'s value. An explicit value comes typed (``explicit``, the
+    keyword arguments) or as strings to parse: flags added by
+    :func:`add_settings_arguments` (``args``) or a ``parse_qs`` query.
+    Raises :class:`ValueError` (a :class:`SettingsError` where there are
+    choices) on a value no exhibit can be built from.
+    """
+    base = base if base is not None else RunSettings()
+    env = os.environ if env is None else env
+    values = {}
+    for row in _rows(names):
+        value = (explicit or {}).get(row.name)
+        for spelling in filter(None, (row.alias, row) if args is not None else ()):
+            raw = getattr(args, spelling.name, None)
+            if raw is not None:  # the alias wins
+                value = raw if spelling.parse is None else _parse(spelling, raw)
+                break
+        if query is not None and row.query in query:
+            raw = query[row.query]
+            value = _parse(row, raw if row.many else raw[0])
+        # A switch's env var is folded by RunSettings itself.
+        if value is None and row.parse is not None and env.get(row.env or ""):
+            value = _parse(row, env[row.env])
+        if value is None:
+            continue
+        if row.choices and isinstance(value, str) and value not in row.choices:
+            raise SettingsError(f"unknown {row.name} {value!r}", row.choices)
+        values[row.name] = value
+    settings = dataclasses.replace(base, **values)
+    if settings.fidelity == "atomic":
+        # Atomic runs carry no monitor trace: every exhibit built from
+        # one would render all-zero measured rows.
+        if settings.check:
+            raise SettingsError("--check requires fidelity 'detailed' or 'mixed'")
+        raise SettingsError(
+            "exhibits need a traced run; use fidelity=mixed", ["detailed", "mixed"]
+        )
+    return settings
 
 
 class ExperimentContext:

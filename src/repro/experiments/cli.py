@@ -15,16 +15,13 @@ from typing import List, Optional
 
 from repro.analysis.report import analyze_trace
 from repro.experiments import parallel
-from repro.experiments._base import ExperimentContext, RunSettings
-from repro.experiments.registry import EXPERIMENTS, run_experiment
-from repro.fidelity import resolve_fast_forward, resolve_fidelity
-from repro.machines import MACHINES, machine_for_cpus, resolve_machine_name
+from repro.experiments._base import (
+    ExperimentContext,
+    add_settings_arguments,
+    resolve_settings,
+)
+from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 from repro.sim.runcache import RunCache
-from repro.workloads import parse_workload_args
-
-# argparse defaults come from the dataclass so the CLI cannot drift
-# from the settings the library and fixtures use.
-_DEFAULTS = RunSettings()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -35,43 +32,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     run_cmd = sub.add_parser("run", help="run one or all experiments")
     run_cmd.add_argument("exhibit", help="exhibit id (e.g. table1) or 'all'")
-    run_cmd.add_argument("--horizon-ms", type=float, default=_DEFAULTS.horizon_ms)
-    run_cmd.add_argument("--warmup-ms", type=float, default=_DEFAULTS.warmup_ms)
-    run_cmd.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    add_settings_arguments(run_cmd)
     run_cmd.add_argument(
         "--jobs", type=int, default=parallel.default_jobs(), metavar="N",
         help="worker processes for simulations and exhibit builds "
              "(default: min(3, cpu_count))",
-    )
-    run_cmd.add_argument(
-        "--fidelity", choices=("detailed", "atomic", "mixed"), default=None,
-        help="engine tier: 'detailed' (exact, the default), 'atomic' "
-             "(functional-first, no stall accounting), or 'mixed' "
-             "(atomic warmup, detailed measured window) "
-             "(default: $REPRO_FIDELITY or detailed)",
-    )
-    run_cmd.add_argument(
-        "--fast-forward", type=int, default=None, metavar="REFS",
-        help="mixed tier: hand off to the detailed engine after REFS "
-             "atomic references instead of at the warmup seam "
-             "(default: $REPRO_FAST_FORWARD or 0)",
-    )
-    machine_group = run_cmd.add_mutually_exclusive_group()
-    machine_group.add_argument(
-        "--machine", choices=tuple(MACHINES), default=None, metavar="NAME",
-        help="machine preset from repro.machines: "
-             f"{', '.join(MACHINES)} (default: $REPRO_MACHINE or 4d340)",
-    )
-    machine_group.add_argument(
-        "--cpus", type=int, default=None, metavar="N",
-        help="shorthand for --machine: the preset with exactly N CPUs",
-    )
-    run_cmd.add_argument(
-        "--workload-arg", action="append", default=None, metavar="K=V",
-        dest="workload_args",
-        help="workload tuning knob (repeatable), e.g. --workload-arg "
-             "skew=1.2; applies to every workload the exhibit runs and "
-             "folds into the cache keys",
     )
     run_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -88,17 +53,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also render the exhibit's ASCII figure, if it has one",
     )
     run_cmd.add_argument(
-        "--check", action="store_true",
-        help="run with the repro.sanitizers invariant checkers (lockdep, "
-             "races, coherence, LL/SC) and fail on any violation "
-             "(also: REPRO_CHECK=1)",
-    )
-    run_cmd.add_argument(
-        "--check-deep", action="store_true",
-        help="--check plus per-block attribution of dread_block/"
-             "dwrite_block sweeps (also: REPRO_CHECK=deep)",
-    )
-    run_cmd.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="exhibit output format on stdout (default: text)",
     )
@@ -110,53 +64,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(exhibit_id)
         return 0
 
+    targets = list(EXPERIMENTS) if args.exhibit == "all" else [args.exhibit]
     try:
-        if args.cpus is not None:
-            machine = machine_for_cpus(args.cpus)
-        else:
-            machine = resolve_machine_name(args.machine)
-        workload_args = parse_workload_args(args.workload_args)
+        for exhibit_id in targets:
+            get_experiment(exhibit_id)
+        settings = resolve_settings(args=args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # RunSettings folds REPRO_CHECK into ``check``.
-    settings = RunSettings(
-        horizon_ms=args.horizon_ms,
-        warmup_ms=args.warmup_ms,
-        seed=args.seed,
-        check="deep" if args.check_deep else args.check,
-        fidelity=resolve_fidelity(args.fidelity),
-        fast_forward=resolve_fast_forward(args.fast_forward),
-        machine=machine,
-        workload_args=workload_args,
-    )
     if settings.check and args.jobs > 1:
         # Reports live on the simulations in this process; worker
         # processes would strand them. Checked runs are serial.
         print("[--check forces jobs=1]", file=sys.stderr)
         args.jobs = 1
-    if settings.check and settings.fidelity == "atomic":
-        # Fail fast with the library's own message instead of dying
-        # workload-by-workload inside the runs.
-        print(
-            "error: --check requires fidelity 'detailed' or 'mixed'",
-            file=sys.stderr,
-        )
-        return 2
-    if settings.fidelity == "atomic":
-        # Atomic runs carry no monitor trace, so every exhibit would
-        # render all-zero measured rows; refuse rather than print
-        # silently wrong tables.
-        print(
-            "error: exhibits need a traced run; use --fidelity mixed "
-            "for a fast-forwarded build (atomic is for "
-            "Simulation-level use)",
-            file=sys.stderr,
-        )
-        return 2
     cache = RunCache(cache_dir=args.cache_dir, enabled=not args.no_cache)
     ctx = ExperimentContext(settings, cache=cache)
-    targets = list(EXPERIMENTS) if args.exhibit == "all" else [args.exhibit]
     start = time.time()
     if args.jobs <= 1:
         # Serial: print each exhibit as it completes.

@@ -23,11 +23,9 @@ each tuned point keys separately in the cache.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.analysis.lockstats import failed_acquires_per_ms
 from repro.common.types import MissClass, RefDomain
-from repro.experiments._base import Exhibit, ExperimentContext, RunSettings
+from repro.experiments._base import Exhibit, ExperimentContext
 from repro.workloads import canonical_workload_args
 
 EXHIBIT_ID = "figure-skew"
@@ -44,22 +42,6 @@ SKEWS = (0.0, 0.7, 0.99, 1.2)
 
 _LOCKS_SHOWN = ("bfreelock", "streams_x")
 
-# Whole-machine-per-point sweep, so a shorter window than the standard
-# settings (the scaling figure's discipline); explicit --horizon-ms /
-# --warmup-ms still win.
-_SETTINGS = RunSettings(horizon_ms=30.0, warmup_ms=250.0)
-
-
-def _window(ctx: ExperimentContext) -> Tuple[float, float]:
-    """Sweep window: explicit context settings win, else the short one."""
-    defaults = RunSettings()
-    horizon = ctx.settings.horizon_ms
-    warmup = ctx.settings.warmup_ms
-    if horizon == defaults.horizon_ms:
-        horizon = _SETTINGS.horizon_ms
-    if warmup == defaults.warmup_ms:
-        warmup = _SETTINGS.warmup_ms
-    return horizon, warmup
 
 
 def _row(ctx, exhibit, workload, skew, args, horizon, warmup) -> None:
@@ -106,7 +88,7 @@ def build(ctx: ExperimentContext) -> Exhibit:
     from repro.workloads.netserver import NetserverWorkload
 
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
-    horizon, warmup = _window(ctx)
+    horizon, warmup = ctx.settings.sweep_window()
     # Context-level --workload-arg knobs (get_fraction, keys, ...) apply
     # to every swept point that accepts them; the sweep pins the skew.
     base = dict(ctx.settings.workload_args)

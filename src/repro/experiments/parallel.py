@@ -11,8 +11,8 @@ across a :mod:`multiprocessing` pool:
    ablations' private simulations) runs as an independent pool task on
    a fresh :class:`ExperimentContext` seeded with the base runs. The
    pool initializer hands the base runs over, and a worker returns only
-   the exhibit: the runs a build adds (sweep points, ablation variants)
-   die with its context.
+   the exhibit (with the run-cache counters it moved): the runs a build
+   adds (sweep points, ablation variants) die with its context.
 
 Every simulation is deterministic given (workload, settings, seed), and
 exhibits are emitted in request order, so parallel output is
@@ -68,10 +68,20 @@ def default_jobs() -> int:
 # Pool workers (top-level functions so they pickle under any start
 # method).
 # ----------------------------------------------------------------------
+def _counted(cache, fn, *args):
+    """``(fn(*args), delta)``, where ``delta`` is what the call moved the
+    worker's copy of ``cache``'s counters by, for the parent to add in."""
+    before = cache.stats() if cache is not None else {}
+    result = fn(*args)
+    after = cache.stats() if cache is not None else {}
+    return result, {name: after[name] - before[name] for name in after}
+
+
 def _simulate_base_workload(task):
-    workload = task[0]
+    workload, _settings, cache = task
     return _worker_boundary(
-        f"base workload {workload!r}", _simulate_base_workload_inner, task
+        f"base workload {workload!r}", _counted, cache,
+        _simulate_base_workload_inner, task,
     )
 
 
@@ -90,22 +100,24 @@ def _init_exhibit_worker(settings, cache, cache_exhibits, base_runs):
 
 
 def _build_exhibit(exhibit_id: str):
+    assert _worker_seed is not None, "worker used without initializer"
     return _worker_boundary(
-        f"exhibit {exhibit_id!r}", _build_exhibit_inner, exhibit_id
+        f"exhibit {exhibit_id!r}", _counted, _worker_seed[1],
+        _build_exhibit_inner, exhibit_id,
     )
 
 
 def _build_exhibit_inner(exhibit_id: str):
-    from repro.experiments.registry import run_experiment
+    from repro.experiments.registry import build_experiment
 
-    assert _worker_seed is not None, "worker used without initializer"
     settings, cache, cache_exhibits, base_runs = _worker_seed
     # A fresh context per exhibit, so the runs one build adds are freed
-    # with it instead of piling up in the worker.
+    # with it instead of piling up in the worker. The parent's disk
+    # probe for this exhibit already missed; a second would count twice.
     ctx = ExperimentContext(settings, cache=cache)
     ctx.cache_exhibits = cache_exhibits
     ctx._runs.update(base_runs)
-    return run_experiment(exhibit_id, ctx)
+    return build_experiment(exhibit_id, ctx)
 
 
 # ----------------------------------------------------------------------
@@ -139,10 +151,13 @@ def warm_base_runs(ctx: ExperimentContext, jobs: int) -> None:
         return
     tasks = [(w, ctx.settings, ctx.cache) for w in missing]
     with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        for workload, run, report in _pool_map(
+        results = _pool_map(
             pool, _simulate_base_workload, tasks, "base-run simulation"
-        ):
-            ctx._runs[(workload, ctx.settings)] = (run, report)
+        )
+    for (workload, run, report), delta in results:
+        ctx._runs[(workload, ctx.settings)] = (run, report)
+        if ctx.cache is not None:
+            ctx.cache.add_stats(delta)
 
 
 def run_exhibits(
@@ -152,21 +167,27 @@ def run_exhibits(
 ) -> List[Tuple[str, "object"]]:
     """Build ``exhibit_ids`` with up to ``jobs`` workers.
 
-    Returns ``[(exhibit_id, Exhibit), ...]`` in request order and leaves
-    ``ctx`` holding the base runs and every exhibit. The runs a worker's
-    build adds stay in the worker; each built exhibit is stored on disk
-    by the worker that built it.
+    Returns ``[(exhibit_id, Exhibit), ...]`` in request order, aliases
+    resolved, and leaves ``ctx`` holding the base runs and every
+    exhibit. The runs a worker's build adds stay in the worker; each
+    built exhibit is stored on disk by the worker that built it.
     """
-    from repro.experiments.registry import get_experiment, run_experiment
+    from repro.experiments.registry import (
+        build_experiment,
+        get_experiment,
+        resolve_exhibit_id,
+    )
 
     for exhibit_id in exhibit_ids:
         get_experiment(exhibit_id)  # validate before any expensive work
+    exhibit_ids = [resolve_exhibit_id(e) for e in exhibit_ids]
     jobs = default_jobs() if jobs is None else max(1, jobs)
 
     # Resolve what is already built (in memory or on disk) up front, so
-    # a fully warm cache never pays for base-run loading or a pool.
+    # a fully warm cache never pays for base-run loading or a pool. This
+    # is the one disk probe per exhibit; builds below skip it.
     todo = []
-    for exhibit_id in exhibit_ids:
+    for exhibit_id in dict.fromkeys(exhibit_ids):
         if exhibit_id in ctx.exhibit_cache:
             continue
         cached = ctx.load_cached_exhibit(exhibit_id)
@@ -175,7 +196,9 @@ def run_exhibits(
         else:
             todo.append(exhibit_id)
     if jobs <= 1 or len(todo) <= 1:
-        return [(e, run_experiment(e, ctx)) for e in exhibit_ids]
+        for exhibit_id in todo:
+            build_experiment(exhibit_id, ctx)
+        return [(e, ctx.exhibit_cache[e]) for e in exhibit_ids]
 
     warm_base_runs(ctx, jobs)
     base_keys = [(w, ctx.settings) for w in BASE_WORKLOADS]
@@ -186,5 +209,8 @@ def run_exhibits(
         initargs=(ctx.settings, ctx.cache, ctx.cache_exhibits, base_runs),
     ) as pool:
         built = _pool_map(pool, _build_exhibit, todo, "exhibit build")
-    ctx.exhibit_cache.update(zip(todo, built))
+    for exhibit_id, (exhibit, delta) in zip(todo, built):
+        ctx.exhibit_cache[exhibit_id] = exhibit
+        if ctx.cache is not None:
+            ctx.cache.add_stats(delta)
     return [(e, ctx.exhibit_cache[e]) for e in exhibit_ids]

@@ -129,10 +129,18 @@ def run_experiment(
         get_experiment(exhibit_id)  # reject unknown ids before cache I/O
         exhibit = ctx.load_cached_exhibit(exhibit_id)
         if exhibit is None:
-            exhibit = get_experiment(exhibit_id).build(ctx)
-            ctx.store_cached_exhibit(exhibit_id, exhibit)
+            return build_experiment(exhibit_id, ctx)
         ctx.exhibit_cache[exhibit_id] = exhibit
     return ctx.exhibit_cache[exhibit_id]
+
+
+def build_experiment(exhibit_id: str, ctx: ExperimentContext) -> Exhibit:
+    """Build one exhibit and keep it on ``ctx`` and on disk, without
+    probing the disk cache first (for callers whose probe missed)."""
+    exhibit = get_experiment(exhibit_id).build(ctx)
+    ctx.store_cached_exhibit(exhibit_id, exhibit)
+    ctx.exhibit_cache[exhibit_id] = exhibit
+    return exhibit
 
 
 def render_chart(exhibit_id: str, ctx: ExperimentContext) -> Optional[str]:

@@ -16,11 +16,11 @@ and the persistent run cache all apply to every point of the sweep.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from repro.analysis.lockstats import failed_acquires_per_ms
 from repro.common.types import MissClass, RefDomain
-from repro.experiments._base import Exhibit, ExperimentContext, RunSettings
+from repro.experiments._base import Exhibit, ExperimentContext
 from repro.machines import DEFAULT_MACHINE, LADDER, MACHINES
 
 EXHIBIT_ID = "figure-scaling"
@@ -33,11 +33,6 @@ _COLUMNS = (
 
 WORKLOAD = "multpgm"
 _LOCKS_SHOWN = ("runqlk", "memlock", "bfreelock", "calock")
-
-# Shorter window than the standard settings: like Figure 11, this is a
-# whole-machine-per-point sweep. An explicit --horizon-ms/--warmup-ms
-# still wins (CI smoke runs the sweep at 4/40).
-_SETTINGS = RunSettings(horizon_ms=30.0, warmup_ms=250.0)
 
 # The ladder is swept up to this preset by default; pick a machine
 # (``--machine cpus64`` caps the ladder there) to change the swept
@@ -55,21 +50,9 @@ def sweep_machines(ctx: ExperimentContext) -> List[str]:
     return LADDER[: LADDER.index(top) + 1]
 
 
-def _window(ctx: ExperimentContext) -> Tuple[float, float]:
-    """Sweep window: explicit context settings win, else the short one."""
-    defaults = RunSettings()
-    horizon = ctx.settings.horizon_ms
-    warmup = ctx.settings.warmup_ms
-    if horizon == defaults.horizon_ms:
-        horizon = _SETTINGS.horizon_ms
-    if warmup == defaults.warmup_ms:
-        warmup = _SETTINGS.warmup_ms
-    return horizon, warmup
-
-
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
-    horizon, warmup = _window(ctx)
+    horizon, warmup = ctx.settings.sweep_window()
     for name in sweep_machines(ctx):
         run = ctx.run(
             WORKLOAD, machine=name, horizon_ms=horizon, warmup_ms=warmup

@@ -24,12 +24,8 @@ Processor Models in Architectural Studies".
 from __future__ import annotations
 
 import copy
-import os
 
 FIDELITY_LEVELS = ("detailed", "atomic", "mixed")
-
-_ENV_FIDELITY = "REPRO_FIDELITY"
-_ENV_FAST_FORWARD = "REPRO_FAST_FORWARD"
 
 
 class UnsupportedFidelityError(ValueError):
@@ -50,24 +46,6 @@ def validate_fidelity(fidelity: str) -> str:
             f"{', '.join(FIDELITY_LEVELS)}"
         )
     return fidelity
-
-
-def resolve_fidelity(value=None) -> str:
-    """CLI/service default chain: explicit value, $REPRO_FIDELITY, detailed."""
-    if value is None:
-        value = os.environ.get(_ENV_FIDELITY) or "detailed"
-    return validate_fidelity(value)
-
-
-def resolve_fast_forward(value=None) -> int:
-    """Explicit value, $REPRO_FAST_FORWARD, or 0 (run to the seam deadline)."""
-    if value is None:
-        raw = os.environ.get(_ENV_FAST_FORWARD, "")
-        value = int(raw) if raw else 0
-    value = int(value)
-    if value < 0:
-        raise ValueError("fast_forward must be >= 0")
-    return value
 
 
 def snapshot_window_counters(sim) -> dict:
@@ -93,8 +71,6 @@ def snapshot_window_counters(sim) -> dict:
 __all__ = [
     "FIDELITY_LEVELS",
     "UnsupportedFidelityError",
-    "resolve_fast_forward",
-    "resolve_fidelity",
     "snapshot_window_counters",
     "validate_fidelity",
 ]

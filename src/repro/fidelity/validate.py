@@ -38,7 +38,9 @@ report and exits non-zero if any statistic lands out of bound.
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -330,9 +332,19 @@ def validate_workload(
     return validation
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
+# The settings table rows this harness reads (it always runs both tiers),
+# over its own 40/260 ms window.
+_SETTINGS = ("horizon_ms", "warmup_ms", "seed", "machine", "fast_forward")
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    from repro.experiments._base import (
+        RunSettings,
+        add_settings_arguments,
+        resolve_settings,
+    )
+
+    base = RunSettings(horizon_ms=40.0, warmup_ms=260.0)
     parser = argparse.ArgumentParser(
         prog="python -m repro.fidelity.validate",
         description="Bounded-error validation of the mixed fidelity tier",
@@ -340,20 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "workloads", nargs="*", default=["pmake", "multpgm", "oracle"]
     )
-    parser.add_argument("--horizon-ms", type=float, default=40.0)
-    parser.add_argument("--warmup-ms", type=float, default=260.0)
-    parser.add_argument("--seed", type=int, default=7)
-    machine_group = parser.add_mutually_exclusive_group()
-    machine_group.add_argument(
-        "--machine", default=None, metavar="NAME",
-        help="machine preset from repro.machines "
-             "(default: $REPRO_MACHINE or 4d340)",
-    )
-    machine_group.add_argument(
-        "--cpus", type=int, default=None, metavar="N",
-        help="shorthand for --machine: the preset with exactly N CPUs",
-    )
-    parser.add_argument("--fast-forward", type=int, default=0)
+    add_settings_arguments(parser, names=_SETTINGS, base=base)
     parser.add_argument(
         "--share-bound-pp", type=float, default=18.0,
         help="max share drift in percentage points (default 18)",
@@ -373,20 +372,18 @@ def main(argv: Optional[List[str]] = None) -> int:
              "the detailed run by at least this factor (default 0 = off)",
     )
     args = parser.parse_args(argv)
-    from repro.machines import machine_for_cpus, resolve_machine_name
-
-    if args.cpus is not None:
-        machine = machine_for_cpus(args.cpus)
-    else:
-        machine = resolve_machine_name(args.machine)
+    try:
+        settings = resolve_settings(args=args, base=base, names=_SETTINGS)
+    except ValueError as exc:
+        parser.error(str(exc))
     results = [
         validate_workload(
             workload,
-            horizon_ms=args.horizon_ms,
-            warmup_ms=args.warmup_ms,
-            seed=args.seed,
-            machine=machine,
-            fast_forward=args.fast_forward,
+            horizon_ms=settings.horizon_ms,
+            warmup_ms=settings.warmup_ms,
+            seed=settings.seed,
+            machine=settings.machine,
+            fast_forward=settings.fast_forward,
             share_bound_pp=args.share_bound_pp,
             rel_bound=args.rel_bound,
             count_floor=args.count_floor,
@@ -394,8 +391,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         for workload in args.workloads
     ]
     print(json.dumps([result.to_dict() for result in results], indent=2))
-    import sys
-
     ok = True
     for result in results:
         print(result.summary(), file=sys.stderr)
@@ -419,6 +414,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    import sys
-
     sys.exit(main())

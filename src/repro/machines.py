@@ -32,9 +32,8 @@ normalizes out of cache keys entirely — see
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.common.params import CacheGeometry, DEFAULT_PARAMS, MachineParams
 
@@ -43,8 +42,6 @@ from repro.common.params import CacheGeometry, DEFAULT_PARAMS, MachineParams
 MachineSpec = Union[str, MachineParams, None]
 
 DEFAULT_MACHINE = "4d340"
-
-_ENV_MACHINE = "REPRO_MACHINE"
 
 
 @dataclass(frozen=True)
@@ -160,18 +157,6 @@ def machine_for_cpus(num_cpus: int) -> str:
     )
 
 
-def resolve_machine_name(value: Optional[str] = None) -> str:
-    """CLI/service default chain: explicit value, ``$REPRO_MACHINE``,
-    then the 4D/340 — validated against the registry."""
-    if value is None:
-        value = os.environ.get(_ENV_MACHINE) or DEFAULT_MACHINE
-    if value not in MACHINES:
-        raise ValueError(
-            f"unknown machine {value!r}; choose from {', '.join(MACHINES)}"
-        )
-    return value
-
-
 __all__ = [
     "DEFAULT_MACHINE",
     "LADDER",
@@ -181,5 +166,4 @@ __all__ = [
     "canonical_machine",
     "machine_for_cpus",
     "resolve_machine",
-    "resolve_machine_name",
 ]

@@ -1,49 +1,36 @@
 """``python -m repro.service`` — run the exhibit server.
 
-Defaults come from :class:`RunSettings` so the service serves exactly
-the exhibits ``repro-experiments run`` produces; the ``REPRO_BENCH_*``
-environment knobs shrink the simulation window the same way they do for
-the benchmark harness (CI uses them to keep the service smoke job
-fast). The persistent run cache is shared with the CLI and the test
-fixtures, so anything they built is already cache-warm here.
+Settings flags, their env vars (``REPRO_BENCH_*`` shrink the simulation
+window, as they do for the CLI and the benchmark harness) and defaults
+come from the settings table beside :class:`RunSettings`, so the service
+serves exactly the exhibits ``repro-experiments run`` produces. The
+persistent run cache is shared with the CLI and the test fixtures, so
+anything they built is already cache-warm here.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
-import os
 import sys
 from typing import List, Optional
 
-from repro.experiments._base import RunSettings
+from repro.experiments._base import add_settings_arguments, resolve_settings
 from repro.experiments.parallel import default_jobs
-from repro.fidelity import resolve_fast_forward, resolve_fidelity
-from repro.machines import MACHINES, resolve_machine_name
 from repro.service.app import ServiceApp, ServiceConfig
 from repro.service.server import serve
-from repro.workloads import parse_workload_args
 
-_DEFAULTS = RunSettings()
-
-
-def _env_float(name: str, fallback: float) -> float:
-    value = os.environ.get(name)
-    return float(value) if value else fallback
+# Every table row but ``check`` (REPRO_CHECK still applies), and no
+# ``--cpus`` alias.
+_SETTINGS = (
+    "horizon_ms", "warmup_ms", "seed", "fidelity", "fast_forward",
+    "machine", "workload_args",
+)
 
 
 def build_config(args) -> ServiceConfig:
-    settings = RunSettings(
-        horizon_ms=args.horizon_ms,
-        warmup_ms=args.warmup_ms,
-        seed=args.seed,
-        fidelity=resolve_fidelity(args.fidelity),
-        fast_forward=resolve_fast_forward(args.fast_forward),
-        machine=resolve_machine_name(args.machine),
-        workload_args=parse_workload_args(args.workload_args),
-    )
     return ServiceConfig(
-        settings=settings,
+        settings=resolve_settings(args=args, names=_SETTINGS),
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
         max_workers=args.jobs,
@@ -79,42 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--retry-after", type=int, default=5, metavar="SECONDS",
         help="Retry-After hint sent with 503 responses (default: 5)",
     )
-    parser.add_argument(
-        "--horizon-ms", type=float,
-        default=_env_float("REPRO_BENCH_HORIZON_MS", _DEFAULTS.horizon_ms),
-        help="traced window per simulation (default: RunSettings / "
-             "$REPRO_BENCH_HORIZON_MS)",
-    )
-    parser.add_argument(
-        "--warmup-ms", type=float,
-        default=_env_float("REPRO_BENCH_WARMUP_MS", _DEFAULTS.warmup_ms),
-        help="warmup before the traced window (default: RunSettings / "
-             "$REPRO_BENCH_WARMUP_MS)",
-    )
-    parser.add_argument("--seed", type=int, default=_DEFAULTS.seed)
-    parser.add_argument(
-        "--fidelity", choices=("detailed", "mixed"), default=None,
-        help="default engine tier for builds; per-request override via "
-             "?fidelity= (default: $REPRO_FIDELITY or detailed; atomic "
-             "is Simulation-only — exhibits need a traced run)",
-    )
-    parser.add_argument(
-        "--fast-forward", type=int, default=None, metavar="REFS",
-        help="mixed tier: atomic references before the detailed hand-off "
-             "(default: $REPRO_FAST_FORWARD or 0)",
-    )
-    parser.add_argument(
-        "--machine", choices=tuple(MACHINES), default=None, metavar="NAME",
-        help="default machine preset for builds; per-request override "
-             f"via ?machine= ({', '.join(MACHINES)}; "
-             "default: $REPRO_MACHINE or 4d340)",
-    )
-    parser.add_argument(
-        "--workload-arg", action="append", default=None, metavar="K=V",
-        dest="workload_args",
-        help="default workload tuning knob for builds (repeatable); "
-             "per-request override via ?workload_arg=k=v",
-    )
+    add_settings_arguments(parser, names=_SETTINGS, aliases=False)
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="persistent run-cache location (default: $REPRO_CACHE_DIR "
@@ -129,8 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    app = ServiceApp(build_config(args))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = build_config(args)
+    except ValueError as exc:
+        parser.error(str(exc))
+    app = ServiceApp(config)
     try:
         asyncio.run(serve(app, host=args.host, port=args.port))
     except KeyboardInterrupt:  # pragma: no cover - signal path

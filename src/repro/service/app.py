@@ -26,24 +26,26 @@ to :func:`repro.api.exhibit` (CI asserts this).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
-from repro.experiments._base import Exhibit, ExperimentContext, RunSettings
+from repro.experiments._base import (
+    Exhibit,
+    ExperimentContext,
+    RunSettings,
+    resolve_settings,
+)
 from repro.experiments.registry import (
     EXPERIMENTS,
     list_exhibit_metadata,
     resolve_exhibit_id,
 )
 from repro.fidelity import FIDELITY_LEVELS
-from repro.machines import MACHINES
 from repro.service.jobs import JobManager, QueueFull
 from repro.service.metrics import MetricsRegistry
-from repro.workloads import parse_workload_args
 
 STATUS_TEXT = {
     200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
@@ -279,57 +281,17 @@ class ServiceApp:
         fmt = params.get("format", ["json"])[0]
         if fmt not in ("json", "text"):
             return self._error(400, "format must be 'json' or 'text'")
-        # Per-request overrides of the configured settings. Each builds
-        # this exhibit's variant at those settings, with its own cache
-        # entries (RunSettings.cache_repr folds them in). Engine tier:
-        # ?fidelity=mixed&fast_forward=N.
-        overrides = {}
-        fidelity = params.get("fidelity", [None])[0]
-        if fidelity is not None:
-            if fidelity not in FIDELITY_LEVELS:
-                return self._error(
-                    400,
-                    f"unknown fidelity {fidelity!r}",
-                    choices=sorted(FIDELITY_LEVELS),
-                )
-            overrides["fidelity"] = fidelity
-        if overrides.get("fidelity", self.config.settings.fidelity) == "atomic":
-            # Atomic runs carry no monitor trace; an exhibit built from
-            # one would render all-zero measured rows.
-            return self._error(
-                400,
-                "exhibits need a traced run; use fidelity=mixed",
-                choices=["detailed", "mixed"],
-            )
+        # Per-request overrides of the configured settings (the settings
+        # table's query params). Each builds this exhibit's variant at
+        # those settings, with its own cache entries.
         try:
-            fast_forward = int(params.get("fast_forward", ["0"])[0] or 0)
-        except ValueError:
-            return self._error(400, "fast_forward must be an integer")
-        if fast_forward:
-            overrides["fast_forward"] = fast_forward
-        # Machine geometry: ?machine=cpus16.
-        machine = params.get("machine", [None])[0]
-        if machine is not None:
-            if machine not in MACHINES:
-                return self._error(
-                    400,
-                    f"unknown machine {machine!r}",
-                    choices=list(MACHINES),
-                )
-            overrides["machine"] = machine
-        # Workload knobs: repeated ?workload_arg=k=v parameters.
-        try:
-            workload_args = parse_workload_args(
-                params.get("workload_arg", ())
+            settings = resolve_settings(
+                query=params, base=self.config.settings, env={}
             )
         except ValueError as exc:
-            return self._error(400, str(exc))
-        if workload_args:
-            overrides["workload_args"] = workload_args
-        try:
-            settings = dataclasses.replace(self.config.settings, **overrides)
-        except ValueError as exc:
-            return self._error(400, str(exc))
+            choices = getattr(exc, "choices", None)
+            extra = {"choices": choices} if choices else {}
+            return self._error(400, exc.args[0], **extra)
         exhibit = self._warm_exhibit(exhibit_id, settings)
         if exhibit is not None:
             self.metrics.exhibit_warm_hits.inc()

@@ -148,7 +148,6 @@ class Simulation:
         params: Optional[MachineParams] = None,
         seed: int = 0,
         trace: bool = True,
-        record_truth_events: bool = False,
         tuning: Optional[KernelTuning] = None,
         master_config: Optional[MasterConfig] = None,
         monitor_strict: bool = False,
@@ -209,7 +208,7 @@ class Simulation:
         if tuning is None:
             tuning = default_tuning(workload.name, machine)
 
-        self.memsys = MemorySystem(self.params, record_events=record_truth_events)
+        self.memsys = MemorySystem(self.params)
         self.processors = [
             Processor(i, self.params, self.memsys) for i in range(self.params.num_cpus)
         ]

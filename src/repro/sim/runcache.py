@@ -336,6 +336,12 @@ class RunCache:
             "dedup_hits": self.dedup_hits,
         }
 
+    def add_stats(self, delta: Dict[str, int]) -> None:
+        """Fold in the counters another process moved (a pool worker's
+        copy of this cache), so :meth:`stats` covers its loads and stores."""
+        for name, count in delta.items():
+            setattr(self, name, getattr(self, name) + count)
+
     def stats_line(self) -> str:
         state = "on" if self.enabled else "off"
         line = (

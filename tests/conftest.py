@@ -32,6 +32,28 @@ def cache_env(monkeypatch):
 
 
 @pytest.fixture
+def cli_settings(monkeypatch):
+    """``cli_settings(argv, exhibit="table1")``: the RunSettings the
+    experiments CLI resolves for ``run <exhibit> <argv>``, captured where
+    it would build its context, so nothing is simulated."""
+    from repro.experiments import cli
+
+    class Captured(Exception):
+        pass
+
+    def capture(settings, cache=None):
+        raise Captured(settings)
+
+    def settings_for(argv, exhibit="table1"):
+        monkeypatch.setattr(cli, "ExperimentContext", capture)
+        with pytest.raises(Captured) as excinfo:
+            cli.main(["run", exhibit] + list(argv))
+        return excinfo.value.args[0]
+
+    return settings_for
+
+
+@pytest.fixture
 def params() -> MachineParams:
     return MachineParams()
 

@@ -13,12 +13,8 @@ import pytest
 
 from repro.analysis.report import analyze_trace
 from repro.api import Simulation, UnsupportedFidelityError
-from repro.fidelity import (
-    FIDELITY_LEVELS,
-    resolve_fast_forward,
-    resolve_fidelity,
-    validate_fidelity,
-)
+from repro.experiments._base import resolve_settings
+from repro.fidelity import FIDELITY_LEVELS, validate_fidelity
 from repro.fidelity.checkpoint import checkpoint_key
 from repro.fidelity.validate import _MemoryStore, compare_runs
 from repro.sim.runcache import RunCache, load_or_run
@@ -237,26 +233,35 @@ class TestGuards:
 
 
 class TestEnvResolution:
+    """The settings resolver's env chain for the engine-tier fields."""
+
     def test_fidelity_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_FIDELITY", raising=False)
-        assert resolve_fidelity(None) == "detailed"
+        assert resolve_settings().fidelity == "detailed"
         monkeypatch.setenv("REPRO_FIDELITY", "mixed")
-        assert resolve_fidelity(None) == "mixed"
-        # An explicit argument wins over the environment.
-        assert resolve_fidelity("atomic") == "atomic"
+        assert resolve_settings().fidelity == "mixed"
+        # An explicit value wins over the environment.
+        assert resolve_settings({"fidelity": "detailed"}).fidelity == "detailed"
         monkeypatch.setenv("REPRO_FIDELITY", "bogus")
-        with pytest.raises(ValueError):
-            resolve_fidelity(None)
+        with pytest.raises(ValueError, match="unknown fidelity"):
+            resolve_settings()
+        # Atomic runs carry no trace, so no exhibit can be built from one.
+        monkeypatch.setenv("REPRO_FIDELITY", "atomic")
+        with pytest.raises(ValueError, match="traced run"):
+            resolve_settings()
 
     def test_fast_forward_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAST_FORWARD", raising=False)
-        assert resolve_fast_forward(None) == 0
+        assert resolve_settings().fast_forward == 0
         monkeypatch.setenv("REPRO_FAST_FORWARD", "250000")
-        assert resolve_fast_forward(None) == 250000
-        assert resolve_fast_forward(9) == 9
+        assert resolve_settings().fast_forward == 250000
+        assert resolve_settings({"fast_forward": 9}).fast_forward == 9
         monkeypatch.setenv("REPRO_FAST_FORWARD", "-3")
         with pytest.raises(ValueError):
-            resolve_fast_forward(None)
+            resolve_settings()
+        monkeypatch.setenv("REPRO_FAST_FORWARD", "lots")
+        with pytest.raises(ValueError, match="must be an integer"):
+            resolve_settings()
 
     def test_levels_frozen(self):
         assert set(FIDELITY_LEVELS) == {"detailed", "atomic", "mixed"}

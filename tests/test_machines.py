@@ -22,6 +22,7 @@ from repro.experiments._base import (
     Exhibit,
     ExperimentContext,
     RunSettings,
+    resolve_settings,
 )
 from repro.kernel.scheduler import Scheduler
 from repro.machines import (
@@ -31,7 +32,6 @@ from repro.machines import (
     canonical_machine,
     machine_for_cpus,
     resolve_machine,
-    resolve_machine_name,
 )
 from repro.sim._session import Simulation, clock_stagger
 
@@ -89,15 +89,18 @@ class TestRegistry:
             machine_for_cpus(12)
 
     def test_resolve_machine_name_chain(self, monkeypatch):
+        def machine(**explicit):
+            return resolve_settings(explicit).machine
+
         monkeypatch.delenv("REPRO_MACHINE", raising=False)
-        assert resolve_machine_name() == DEFAULT_MACHINE
-        assert resolve_machine_name("cpus32") == "cpus32"
+        assert machine() == DEFAULT_MACHINE
+        assert machine(machine="cpus32") == "cpus32"
         monkeypatch.setenv("REPRO_MACHINE", "cpus8")
-        assert resolve_machine_name() == "cpus8"
-        assert resolve_machine_name("cpus16") == "cpus16"  # explicit wins
+        assert machine() == "cpus8"
+        assert machine(machine="cpus16") == "cpus16"  # explicit wins
         monkeypatch.setenv("REPRO_MACHINE", "vax")
         with pytest.raises(ValueError, match="unknown machine"):
-            resolve_machine_name()
+            machine()
 
 
 class TestMachineParamsRouting:

@@ -96,11 +96,52 @@ def test_jobs_one_is_pure_serial(serial_texts):
         assert exhibit.to_text() == serial_texts[exhibit_id]
 
 
-def test_cli_defaults_track_runsettings():
+def test_cli_defaults_track_runsettings(monkeypatch, cli_settings):
     """argparse defaults must come from RunSettings, not hardcoded copies."""
+    for name in ("REPRO_BENCH_HORIZON_MS", "REPRO_BENCH_WARMUP_MS",
+                 "REPRO_FIDELITY", "REPRO_FAST_FORWARD", "REPRO_MACHINE",
+                 "REPRO_CHECK"):
+        monkeypatch.delenv(name, raising=False)
+    assert cli_settings([]) == RunSettings()
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_rejects_unknown_exhibit_before_any_work(
+    monkeypatch, capsys, cli_settings, jobs
+):
+    """An unknown id exits 2 with the choices, before a context or pool
+    exists (a context would mean settings were resolved and work began)."""
     from repro.experiments import cli
 
-    assert cli._DEFAULTS == RunSettings()
+    def no_context(*args, **kwargs):
+        raise AssertionError("context built for an unknown exhibit")
+
+    monkeypatch.setattr(cli, "ExperimentContext", no_context)
+    assert cli.main(["run", "bogus", "--jobs", jobs, "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unknown exhibit 'bogus'; choose from")
+    assert "table1" in captured.err
+    assert captured.out == ""
+    # An alias still resolves and reaches the context.
+    settings = cli_settings(["--jobs", jobs], exhibit="scaling")
+    assert isinstance(settings, RunSettings)
+
+
+@pytest.mark.usefixtures("cache_env")
+def test_parallel_cache_stats_count_worker_stores(tmp_path):
+    """Pool workers store the base runs and exhibits; the caller's cache
+    counts those stores, so its stats line matches the files on disk,
+    and each entry is probed once, as a cold serial run probes it."""
+    stats = {}
+    for jobs in (1, 2):
+        cache_dir = tmp_path / f"jobs{jobs}"
+        ctx = ExperimentContext(_SMALL, cache=RunCache(cache_dir=cache_dir))
+        parallel.run_exhibits(ctx, ["table1", "table3"], jobs=jobs)
+        written = len(list(cache_dir.glob("*.pkl")))
+        assert written == 5  # three base runs and two exhibits
+        assert ctx.cache.stores == ctx.cache.misses == written
+        stats[jobs] = ctx.cache.stats()
+    assert stats[2] == stats[1]
 
 
 def test_cli_parallel_output_matches_serial(tmp_path, capsys):
