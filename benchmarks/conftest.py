@@ -2,8 +2,8 @@
 
 One :class:`ExperimentContext` is shared by every benchmark, so the
 three workload simulations run once per session; each exhibit benchmark
-then measures its own derivation work and prints the paper-vs-measured
-table it regenerates.
+then times its own build over several rounds and prints the
+paper-vs-measured table it regenerates.
 """
 
 from __future__ import annotations
@@ -62,13 +62,31 @@ def warm_ctx(ctx) -> ExperimentContext:
     return ctx
 
 
-def run_exhibit(benchmark, ctx, exhibit_id: str):
-    """Benchmark one exhibit build and print its table."""
-    from repro.experiments.registry import run_experiment
+# Rounds per exhibit benchmark, so one noisy round cannot move the
+# median the perf gate compares.
+ROUNDS = 5
 
-    exhibit = benchmark.pedantic(
-        run_experiment, args=(exhibit_id, ctx), rounds=1, iterations=1
+
+def run_exhibit(benchmark, ctx, exhibit_id: str):
+    """Benchmark one exhibit build over ``ROUNDS`` rounds; print its table.
+
+    Each round is the build ``repro-experiments run`` makes
+    (:func:`~repro.experiments.parallel.build_exhibit`) on a fresh
+    context seeded with the session's runs and no run cache, so every
+    round does the same work: it derives from the base runs and
+    simulates every other run the exhibit reads (sweep points, ablation
+    variants).
+    """
+    from repro.experiments.parallel import build_exhibit
+
+    runs = dict(ctx._runs)
+
+    def fresh_round():
+        return (exhibit_id, ctx.settings, None, dict(runs), False), {}
+
+    build = benchmark.pedantic(
+        build_exhibit, setup=fresh_round, rounds=ROUNDS, iterations=1
     )
     print()
-    print(exhibit.to_text())
-    return exhibit
+    print(build.exhibit.to_text())
+    return build.exhibit

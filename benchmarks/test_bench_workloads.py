@@ -9,7 +9,7 @@ tables.
 
 from __future__ import annotations
 
-from benchmarks.conftest import SETTINGS, run_exhibit
+from benchmarks.conftest import ROUNDS, SETTINGS, run_exhibit
 from repro.api import Simulation
 
 
@@ -19,14 +19,14 @@ def _simulate(name: str):
 
 
 def test_bench_sim_kv(benchmark):
-    run = benchmark.pedantic(_simulate, args=("kv",), rounds=1, iterations=1)
+    run = benchmark.pedantic(_simulate, args=("kv",), rounds=ROUNDS, iterations=1)
     bcache = run.kernel.fs.buffer_cache
     assert bcache.hits + bcache.misses > 0
 
 
 def test_bench_sim_netserver(benchmark):
     run = benchmark.pedantic(
-        _simulate, args=("netserver",), rounds=1, iterations=1
+        _simulate, args=("netserver",), rounds=ROUNDS, iterations=1
     )
     from repro.common.types import InterruptKind
 

@@ -136,13 +136,6 @@ class TraceAnalysis:
     # ------------------------------------------------------------------
     # Convenience queries
     # ------------------------------------------------------------------
-    def monitor_transactions(self) -> int:
-        """All recorded bus transactions (full trace, any op)."""
-        return (
-            self.monitor_instr_reads + self.monitor_data_reads
-            + self.monitor_writes + self.monitor_uncached
-        )
-
     def total_misses(self, domain: Optional[RefDomain] = None) -> int:
         return sum(
             count for (dom, _k, _c), count in self.miss_counts.items()

@@ -63,10 +63,6 @@ class MissClass(enum.Enum):
 
     __hash__ = object.__hash__  # singleton identity hash (see Mode)
 
-    @property
-    def is_displacement(self) -> bool:
-        return self in (MissClass.DISPOS, MissClass.DISPAP)
-
 
 class HighLevelOp(enum.Enum):
     """High-level OS operations (paper Table 8)."""
@@ -79,14 +75,6 @@ class HighLevelOp(enum.Enum):
     INTERRUPT = "interrupt"
 
     __hash__ = object.__hash__  # singleton identity hash (see Mode)
-
-    @property
-    def is_syscall(self) -> bool:
-        return self in (
-            HighLevelOp.IO_SYSCALL,
-            HighLevelOp.SGINAP_SYSCALL,
-            HighLevelOp.OTHER_SYSCALL,
-        )
 
 
 class InterruptKind(enum.Enum):

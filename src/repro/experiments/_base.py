@@ -18,7 +18,9 @@ from repro.machines import (
 from repro.sanitizers import check_enabled_by_env, deep_check_enabled_by_env
 from repro.sim.runcache import RunCache, load_or_run
 from repro.sim._session import TracedRun
-from repro.workloads import canonical_workload_args, parse_workload_args
+from repro.workloads import (
+    canonical_workload_args, parse_workload_args, workload_arg_names,
+)
 
 # Exhibit.to_dict() payload schema. Version 2 added the explicit
 # "schema_version" field itself (version-1 payloads carry none);
@@ -89,6 +91,12 @@ class RunSettings:
             "machine": canonical_machine(self.machine),
             "workload_args": canonical_workload_args(self.workload_args),
         }
+        for name, _value in canonical["workload_args"]:
+            if name not in workload_arg_names():
+                raise SettingsError(
+                    f"no workload takes the argument {name!r}",
+                    workload_arg_names(),
+                )
         for name, value in canonical.items():
             object.__setattr__(self, name, value)
 

@@ -22,11 +22,8 @@ _COLUMNS = ("metric", "default", "optimized", "change%")
 
 
 def _os_imisses(analysis, miss_class=None) -> int:
-    return sum(
-        count for (dom, kind, cls), count in analysis.miss_counts.items()
-        if dom is RefDomain.OS and kind == "I"
-        and (miss_class is None or cls is miss_class)
-    )
+    counts = analysis.class_counts(RefDomain.OS, "I")
+    return sum(counts.values()) if miss_class is None else counts[miss_class]
 
 
 def build(ctx: ExperimentContext) -> Exhibit:

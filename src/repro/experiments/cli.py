@@ -13,14 +13,13 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.analysis.report import analyze_trace
 from repro.experiments import parallel
 from repro.experiments._base import (
     ExperimentContext,
     add_settings_arguments,
     resolve_settings,
 )
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+from repro.experiments.registry import EXPERIMENTS, get_experiment, render_chart
 from repro.sim.runcache import RunCache
 
 
@@ -72,80 +71,63 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if settings.check and args.jobs > 1:
-        # Reports live on the simulations in this process; worker
-        # processes would strand them. Checked runs are serial.
-        print("[--check forces jobs=1]", file=sys.stderr)
-        args.jobs = 1
     cache = RunCache(cache_dir=args.cache_dir, enabled=not args.no_cache)
     ctx = ExperimentContext(settings, cache=cache)
     start = time.time()
-    if args.jobs <= 1:
-        # Serial: print each exhibit as it completes.
-        built = ((e, run_experiment(e, ctx)) for e in targets)
-    else:
-        try:
-            built = parallel.run_exhibits(ctx, targets, jobs=args.jobs)
-        except parallel.ParallelWorkerError as exc:
-            # No serial fallback: a degraded run would report wrong
-            # timings as successful. Surface the worker failure and die.
-            print(f"parallel run failed: {exc}", file=sys.stderr)
-            return 3
+    # At --jobs 1 each exhibit is built, then printed, in turn.
+    batches = [[e] for e in targets] if args.jobs <= 1 else [targets]
+    exhibits, verdicts = [], []
+    try:
+        for batch in batches:
+            for exhibit_id, build in parallel.run_exhibits(ctx, batch, jobs=args.jobs):
+                verdicts += build.verdicts
+                exhibits.append(build.exhibit)
+                if args.format == "text":
+                    print(build.exhibit.to_text())
+                    figure = args.charts and render_chart(exhibit_id, ctx)
+                    if figure:
+                        print()
+                        print(figure)
+                    print()
+    except parallel.ParallelWorkerError as exc:
+        # No fallback: a degraded run would report wrong timings as
+        # successful. Surface the failed build and die.
+        print(f"exhibit build failed: {exc}", file=sys.stderr)
+        return 3
     if args.format == "json":
         # One JSON array for the whole invocation; --charts is a
         # text-rendering concern and does not apply here.
-        payload = [exhibit.to_dict() for _, exhibit in built]
-        print(json.dumps(payload, indent=2))
-    else:
-        for exhibit_id, exhibit in built:
-            print(exhibit.to_text())
-            if args.charts:
-                from repro.experiments.registry import render_chart
-
-                figure = render_chart(exhibit_id, ctx)
-                if figure:
-                    print()
-                    print(figure)
-            print()
+        print(json.dumps([exhibit.to_dict() for exhibit in exhibits], indent=2))
     print(f"[{time.time() - start:.1f}s, jobs={args.jobs}]", file=sys.stderr)
     print(cache.stats_line(), file=sys.stderr)
     if settings.check:
-        return _report_checks(ctx)
+        return _report_checks(verdicts)
     return 0
 
 
-def _report_checks(ctx: ExperimentContext) -> int:
-    """Summarize the sanitizer reports of every run behind the exhibits.
+def _report_checks(verdicts: List[parallel.CheckVerdict]) -> int:
+    """Summarize the sanitizer verdicts of every run behind the exhibits.
 
     Summaries go to stderr (one line per run) so checked stdout stays
     byte-identical to unchecked stdout; full violation reports are
-    printed only when something fired. Exit code 2 on any violation.
+    printed only when something fired. Exit code 2 on any violation or
+    crosscheck mismatch.
     """
-    reports = []
-    crosscheck_failed = False
-    for run in ctx.all_runs():
-        report = run.check_report
-        if report is not None:
-            reports.append(report)
-            # Cross-validate the checker's bus accounting against the
-            # monitor's recorded transactions for the same run.
-            analysis_report = analyze_trace(run, keep_imiss_stream=False)
-            for line in analysis_report.crosscheck_lines():
-                print(f"  {run.workload_name}: {line}", file=sys.stderr)
-            if not analysis_report.crosscheck_ok():
-                crosscheck_failed = True
-    if not reports:
+    if not verdicts:
         # Exhibits (and their checked runs) came straight from the cache;
         # they were verified clean when stored. Use --no-cache to re-check.
         print("sanitizers: all runs served from cache (verified at store "
               "time); --no-cache re-checks", file=sys.stderr)
         return 0
-    failed = crosscheck_failed
-    for report in reports:
-        print(report.summary(), file=sys.stderr)
-        if not report.ok:
-            failed = True
-            print(report.to_text(), file=sys.stderr)
+    for verdict in verdicts:
+        for line in verdict.crosscheck:
+            print(line, file=sys.stderr)
+    failed = False
+    for verdict in verdicts:
+        print(verdict.report.summary(), file=sys.stderr)
+        if not verdict.report.ok:
+            print(verdict.report.to_text(), file=sys.stderr)
+        failed |= not (verdict.report.ok and verdict.crosscheck_ok)
     return 2 if failed else 0
 
 

@@ -14,11 +14,7 @@ USTRUCT_PARTS = (StructName.PCB, StructName.EFRAME, StructName.USTRUCT_REST)
 
 
 def os_misses(analysis: TraceAnalysis, kind: str) -> int:
-    return sum(
-        count
-        for (dom, knd, _cls), count in analysis.miss_counts.items()
-        if dom is RefDomain.OS and knd == kind
-    )
+    return sum(analysis.class_counts(RefDomain.OS, kind).values())
 
 
 def migration_misses(analysis: TraceAnalysis) -> Dict[str, int]:
@@ -63,28 +59,24 @@ def blockop_miss_total(analysis: TraceAnalysis) -> int:
     return sum(analysis.blockop_misses.values())
 
 
+def _class_shares_pct(analysis: TraceAnalysis, kind: str) -> Dict[MissClass, float]:
+    total = analysis.total_misses(RefDomain.OS)
+    if not total:
+        return {}
+    return {
+        cls: 100.0 * count / total
+        for cls, count in analysis.class_counts(RefDomain.OS, kind).items()
+    }
+
+
 def imiss_class_shares_pct(analysis: TraceAnalysis) -> Dict[MissClass, float]:
     """Figure 4(a): I-miss classes as % of ALL OS misses."""
-    total = analysis.total_misses(RefDomain.OS)
-    out: Dict[MissClass, float] = {}
-    if not total:
-        return out
-    for (dom, kind, cls), count in analysis.miss_counts.items():
-        if dom is RefDomain.OS and kind == "I":
-            out[cls] = out.get(cls, 0.0) + 100.0 * count / total
-    return out
+    return _class_shares_pct(analysis, "I")
 
 
 def dmiss_class_shares_pct(analysis: TraceAnalysis) -> Dict[MissClass, float]:
     """Figure 7(a): D-miss classes as % of ALL OS misses."""
-    total = analysis.total_misses(RefDomain.OS)
-    out: Dict[MissClass, float] = {}
-    if not total:
-        return out
-    for (dom, kind, cls), count in analysis.miss_counts.items():
-        if dom is RefDomain.OS and kind == "D":
-            out[cls] = out.get(cls, 0.0) + 100.0 * count / total
-    return out
+    return _class_shares_pct(analysis, "D")
 
 
 def invocation_interval_ms(analysis: TraceAnalysis) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.common.types import RefDomain
 from repro.experiments import paperdata
 from repro.experiments._base import Exhibit, ExperimentContext
 
@@ -22,10 +23,7 @@ _OPS = (
 
 
 def op_shares(analysis) -> dict:
-    os_total = sum(
-        count for (dom, _k, _c), count in analysis.miss_counts.items()
-        if dom.value == "os"
-    )
+    os_total = analysis.total_misses(RefDomain.OS)
     out = {}
     for bucket, labels in _OPS:
         d = sum(analysis.op_misses.get((label, "D"), 0) for label in labels)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from repro.analysis.lockstats import failed_acquires_per_ms
 from repro.common.types import MissClass, RefDomain
 from repro.experiments._base import Exhibit, ExperimentContext
-from repro.workloads import canonical_workload_args
+from repro.workloads import canonical_workload_args, workload_arg_names
 
 EXHIBIT_ID = "figure-skew"
 TITLE = "Buffer-cache residency and lock traffic vs Zipf skew"
@@ -55,10 +55,7 @@ def _row(ctx, exhibit, workload, skew, args, horizon, warmup) -> None:
     bcache = run.kernel.fs.buffer_cache
     lookups = bcache.hits + bcache.misses
     hit_pct = 100.0 * bcache.hits / lookups if lookups else 0.0
-    per_class = {cls: 0 for cls in (MissClass.COLD, MissClass.SHARING)}
-    for (dom, _kind, cls), count in report.analysis.miss_counts.items():
-        if dom is RefDomain.OS and cls in per_class:
-            per_class[cls] += count
+    per_class = report.analysis.class_counts(RefDomain.OS)
     rates = failed_acquires_per_ms(run.kernel, warmup + horizon)
     exhibit.add_row(
         workload,
@@ -71,20 +68,17 @@ def _row(ctx, exhibit, workload, skew, args, horizon, warmup) -> None:
     )
 
 
-def _accepted(cls, base: dict) -> dict:
-    """Restrict context-level knobs to the ones ``cls`` accepts.
+def _accepted(workload: str, base: dict) -> dict:
+    """Restrict context-level knobs to the ones ``workload`` takes.
 
     The sweep covers two workloads with different knob sets, so a
     kv-only ``--workload-arg keys=...`` must not reach netserver.
     """
-    import inspect
-
-    params = inspect.signature(cls.__init__).parameters
-    return {k: v for k, v in base.items() if k in params}
+    taken = workload_arg_names(workload)
+    return {k: v for k, v in base.items() if k in taken}
 
 
 def build(ctx: ExperimentContext) -> Exhibit:
-    from repro.workloads.kv import KvWorkload
     from repro.workloads.netserver import NetserverWorkload
 
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
@@ -93,13 +87,13 @@ def build(ctx: ExperimentContext) -> Exhibit:
     # to every swept point that accepts them; the sweep pins the skew.
     base = dict(ctx.settings.workload_args)
     for skew in SKEWS:
-        args = _accepted(KvWorkload, base)
+        args = _accepted("kv", base)
         args["skew"] = skew
         _row(ctx, exhibit, "kv", skew, canonical_workload_args(args),
              horizon, warmup)
     # Netserver at its default skew: the interrupt-side streams_x load.
     _row(ctx, exhibit, "netserver", NetserverWorkload().skew,
-         canonical_workload_args(_accepted(NetserverWorkload, base)),
+         canonical_workload_args(_accepted("netserver", base)),
          horizon, warmup)
     exhibit.note(
         "kv keyspace ~32 MB vs a ~272 KB buffer cache: at skew 0 the "

@@ -31,15 +31,11 @@ def _profile(report) -> tuple:
     analysis = report.analysis
     os_total = analysis.total_misses(RefDomain.OS) or 1
     i_share = 100.0 * sum(
-        count for (dom, kind, _c), count in analysis.miss_counts.items()
-        if dom is RefDomain.OS and kind == "I"
+        analysis.class_counts(RefDomain.OS, "I").values()
     ) / os_total
+    counts = analysis.class_counts(RefDomain.OS)
     class_shares = tuple(
-        round(100.0 * sum(
-            count for (dom, _k, cls), count in analysis.miss_counts.items()
-            if dom is RefDomain.OS and cls is target
-        ) / os_total, 1)
-        for target in _CLASSES
+        round(100.0 * counts[target] / os_total, 1) for target in _CLASSES
     )
     return (round(report.os_miss_fraction_pct, 1), round(i_share, 1),
             *class_shares)

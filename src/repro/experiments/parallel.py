@@ -1,21 +1,22 @@
-"""Parallel experiment runner.
+"""The one exhibit build, and the parallel runner around it.
 
-Fans the expensive, independent pieces of ``repro-experiments run``
-across a :mod:`multiprocessing` pool:
+:func:`build_exhibit` is how ``repro-experiments run`` and the service
+build an exhibit: on a fresh :class:`ExperimentContext` seeded with the
+runs its caller hands in, so the runs one build adds (sweep points,
+ablation variants) die with it. :func:`run_exhibits` calls it in this
+process at ``jobs=1`` or for a single exhibit; otherwise it fans the
+work across a :mod:`multiprocessing` pool:
 
 1. **Base workload simulations** — the three traced runs (pmake,
    multpgm, oracle) every exhibit derives from are simulated and
    analyzed concurrently, one worker each, and land in the caller's
    context.
-2. **Exhibit derivations** — each exhibit's ``build`` (including the
-   ablations' private simulations) runs as an independent pool task on
-   a fresh :class:`ExperimentContext` seeded with the base runs. The
-   pool initializer hands the base runs over, and a worker returns only
-   the exhibit (with the run-cache counters it moved): the runs a build
-   adds (sweep points, ablation variants) die with its context.
+2. **Exhibit builds** — one pool task per exhibit. The pool initializer
+   hands the base runs over, and a worker returns only what the build
+   returns: no engine travels back to the parent.
 
 Every simulation is deterministic given (workload, settings, seed), and
-exhibits are emitted in request order, so parallel output is
+exhibits are returned in request order, so parallel output is
 byte-identical to serial output.
 """
 
@@ -24,29 +25,107 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.experiments._base import ExperimentContext
+from repro.analysis.report import analyze_trace
+from repro.experiments._base import Exhibit, ExperimentContext
+from repro.sanitizers.report import CheckReport
+from repro.sim.runcache import RunCache
 
 BASE_WORKLOADS = ("pmake", "multpgm", "oracle")
 
 
 class ParallelWorkerError(RuntimeError):
-    """A pool worker failed.
+    """An exhibit build or a pool worker failed.
 
-    Raised in the parent with the worker's task and traceback attached.
-    Worker failures must surface and abort the invocation — a run that
-    quietly degraded (to serial, or to partial results) would report
-    wrong timings as successful and poison benchmark baselines.
+    Raised with the task and its traceback attached. Failures must
+    surface and abort the invocation — a run that quietly degraded (to
+    serial, or to partial results) would report wrong timings as
+    successful and poison benchmark baselines.
     """
 
 
-def _worker_boundary(task_label: str, fn, *args):
-    """Run ``fn`` inside a worker; wrap any failure with its task label.
+class CheckVerdict(NamedTuple):
+    """What ``--check`` reports of one checked run, small enough for a
+    pool worker to return in place of the run."""
 
-    The wrapped exception carries the worker-side traceback as text
-    (exception *causes* do not survive the pool's pickling), so the
-    parent can print what actually went wrong in the child.
+    report: CheckReport
+    crosscheck: Tuple[str, ...]  # prefixed with the run's workload
+    crosscheck_ok: bool
+
+
+class ExhibitBuild(NamedTuple):
+    """What :func:`build_exhibit` returns."""
+
+    exhibit: Exhibit
+    counters: Dict[str, int]  # run-cache counters moved, for add_stats()
+    verdicts: List[CheckVerdict]
+
+
+def check_verdicts(runs: Iterable) -> List[CheckVerdict]:
+    """The verdict of each checked run in ``runs``: its sanitizer report,
+    and the checker's bus accounting crosschecked against the monitor's
+    recorded transactions for the same run."""
+    verdicts = []
+    for run in runs:
+        if run.check_report is not None:
+            analysis = analyze_trace(run, keep_imiss_stream=False)
+            lines = tuple(
+                f"  {run.workload_name}: {line}"
+                for line in analysis.crosscheck_lines()
+            )
+            verdicts.append(
+                CheckVerdict(run.check_report, lines, analysis.crosscheck_ok())
+            )
+    return verdicts
+
+
+def _own_counters(cache: Optional[RunCache]) -> Optional[RunCache]:
+    """``cache``'s store with fresh counters: they then read what one
+    task moved, in whichever process or thread it ran."""
+    return None if cache is None else RunCache(cache.cache_dir, cache.enabled)
+
+
+def build_exhibit(
+    exhibit_id: str,
+    settings,
+    cache: Optional[RunCache] = None,
+    runs: Optional[Dict] = None,
+    cache_exhibits: bool = True,
+) -> ExhibitBuild:
+    """Build one exhibit on a fresh context seeded with ``runs`` and
+    store it, without probing the disk for it first (callers have).
+
+    Returns the exhibit, the run-cache counters the build moved (for
+    the caller to add in) and the verdicts of the checked runs the
+    context obtained itself. Afterwards ``runs`` also holds the base
+    runs the build obtained at ``settings``; every other run dies with
+    the context.
+    """
+    from repro.experiments.registry import build_experiment
+
+    runs = {} if runs is None else runs
+    handed = {id(run) for run, _report in runs.values()}
+    ctx = ExperimentContext(settings, cache=_own_counters(cache))
+    ctx.cache_exhibits = cache_exhibits
+    ctx._runs.update(runs)
+    exhibit = build_experiment(exhibit_id, ctx)
+    for key in [(w, settings) for w in BASE_WORKLOADS]:
+        if key in ctx._runs:
+            runs.setdefault(key, ctx._runs[key])
+    return ExhibitBuild(
+        exhibit,
+        ctx.cache.stats() if ctx.cache is not None else {},
+        check_verdicts(run for run in ctx.all_runs() if id(run) not in handed),
+    )
+
+
+def _worker_boundary(task_label: str, fn, *args):
+    """Run ``fn``; wrap any failure with its task label.
+
+    The wrapped exception carries the traceback as text (exception
+    *causes* do not survive the pool's pickling), so the parent can
+    print what actually went wrong in the child.
     """
     try:
         return fn(*args)
@@ -68,27 +147,17 @@ def default_jobs() -> int:
 # Pool workers (top-level functions so they pickle under any start
 # method).
 # ----------------------------------------------------------------------
-def _counted(cache, fn, *args):
-    """``(fn(*args), delta)``, where ``delta`` is what the call moved the
-    worker's copy of ``cache``'s counters by, for the parent to add in."""
-    before = cache.stats() if cache is not None else {}
-    result = fn(*args)
-    after = cache.stats() if cache is not None else {}
-    return result, {name: after[name] - before[name] for name in after}
-
-
 def _simulate_base_workload(task):
-    workload, _settings, cache = task
     return _worker_boundary(
-        f"base workload {workload!r}", _counted, cache,
-        _simulate_base_workload_inner, task,
+        f"base workload {task[0]!r}", _simulate_base_workload_inner, task
     )
 
 
 def _simulate_base_workload_inner(task):
     workload, settings, cache = task
-    ctx = ExperimentContext(settings, cache=cache)
-    return workload, ctx.run(workload), ctx.report(workload)
+    ctx = ExperimentContext(settings, cache=_own_counters(cache))
+    run, report = ctx.run(workload), ctx.report(workload)
+    return workload, run, report, ctx.cache.stats() if ctx.cache is not None else {}
 
 
 _worker_seed: Optional[tuple] = None
@@ -99,25 +168,14 @@ def _init_exhibit_worker(settings, cache, cache_exhibits, base_runs):
     _worker_seed = (settings, cache, cache_exhibits, base_runs)
 
 
-def _build_exhibit(exhibit_id: str):
+def _build_exhibit(exhibit_id: str) -> ExhibitBuild:
     assert _worker_seed is not None, "worker used without initializer"
-    return _worker_boundary(
-        f"exhibit {exhibit_id!r}", _counted, _worker_seed[1],
-        _build_exhibit_inner, exhibit_id,
-    )
-
-
-def _build_exhibit_inner(exhibit_id: str):
-    from repro.experiments.registry import build_experiment
-
     settings, cache, cache_exhibits, base_runs = _worker_seed
-    # A fresh context per exhibit, so the runs one build adds are freed
-    # with it instead of piling up in the worker. The parent's disk
-    # probe for this exhibit already missed; a second would count twice.
-    ctx = ExperimentContext(settings, cache=cache)
-    ctx.cache_exhibits = cache_exhibits
-    ctx._runs.update(base_runs)
-    return build_experiment(exhibit_id, ctx)
+    # A copy, so no run a build adds outlives it in the worker.
+    return _worker_boundary(
+        f"exhibit {exhibit_id!r}", build_exhibit,
+        exhibit_id, settings, cache, dict(base_runs), cache_exhibits,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -140,43 +198,40 @@ def _pool_map(pool, fn, tasks, stage: str):
         ) from exc
 
 
-def warm_base_runs(ctx: ExperimentContext, jobs: int) -> None:
-    """Simulate + analyze the three base workloads, ``jobs`` at a time."""
+def warm_base_runs(ctx: ExperimentContext, jobs: int) -> List[CheckVerdict]:
+    """Simulate + analyze the three base workloads, ``jobs`` at a time;
+    returns the verdicts of the checked runs it obtained."""
     missing = [w for w in BASE_WORKLOADS if (w, ctx.settings) not in ctx._runs]
-    if not missing:
-        return
-    if jobs <= 1 or len(missing) == 1:
-        for workload in missing:
-            ctx.report(workload)
-        return
-    tasks = [(w, ctx.settings, ctx.cache) for w in missing]
-    with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        results = _pool_map(
-            pool, _simulate_base_workload, tasks, "base-run simulation"
-        )
-    for (workload, run, report), delta in results:
-        ctx._runs[(workload, ctx.settings)] = (run, report)
-        if ctx.cache is not None:
-            ctx.cache.add_stats(delta)
+    if jobs > 1 and len(missing) > 1:
+        tasks = [(w, ctx.settings, ctx.cache) for w in missing]
+        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
+            results = _pool_map(
+                pool, _simulate_base_workload, tasks, "base-run simulation"
+            )
+        for workload, run, report, counters in results:
+            ctx._runs[(workload, ctx.settings)] = (run, report)
+            if ctx.cache is not None:
+                ctx.cache.add_stats(counters)
+    return check_verdicts(ctx.run(workload) for workload in missing)
 
 
 def run_exhibits(
     ctx: ExperimentContext,
     exhibit_ids: Sequence[str],
     jobs: Optional[int] = None,
-) -> List[Tuple[str, "object"]]:
+) -> List[Tuple[str, ExhibitBuild]]:
     """Build ``exhibit_ids`` with up to ``jobs`` workers.
 
-    Returns ``[(exhibit_id, Exhibit), ...]`` in request order, aliases
-    resolved, and leaves ``ctx`` holding the base runs and every
-    exhibit. The runs a worker's build adds stay in the worker; each
-    built exhibit is stored on disk by the worker that built it.
+    Returns ``[(exhibit_id, ExhibitBuild), ...]`` in request order,
+    aliases resolved; an exhibit served from memory or disk comes with
+    no counters or verdicts. Each run obtained for the builds is
+    verdicted once: the base runs warmed for a pool, with its first
+    exhibit. Builds are handed the base runs ``ctx`` holds, so a serial
+    build simulates only what it reads, and ``ctx`` keeps every exhibit
+    and the base runs. A failed build raises
+    :class:`ParallelWorkerError` naming the exhibit, at every ``jobs``.
     """
-    from repro.experiments.registry import (
-        build_experiment,
-        get_experiment,
-        resolve_exhibit_id,
-    )
+    from repro.experiments.registry import get_experiment, resolve_exhibit_id
 
     for exhibit_id in exhibit_ids:
         get_experiment(exhibit_id)  # validate before any expensive work
@@ -185,32 +240,39 @@ def run_exhibits(
 
     # Resolve what is already built (in memory or on disk) up front, so
     # a fully warm cache never pays for base-run loading or a pool. This
-    # is the one disk probe per exhibit; builds below skip it.
+    # is the one disk probe per exhibit; builds skip it.
+    results: Dict[str, ExhibitBuild] = {}
     todo = []
     for exhibit_id in dict.fromkeys(exhibit_ids):
-        if exhibit_id in ctx.exhibit_cache:
-            continue
-        cached = ctx.load_cached_exhibit(exhibit_id)
-        if cached is not None:
-            ctx.exhibit_cache[exhibit_id] = cached
-        else:
+        exhibit = ctx.exhibit_cache.get(exhibit_id) or ctx.load_cached_exhibit(exhibit_id)
+        if exhibit is None:
             todo.append(exhibit_id)
-    if jobs <= 1 or len(todo) <= 1:
+        else:
+            results[exhibit_id] = ExhibitBuild(exhibit, {}, [])
+    serial = jobs <= 1 or len(todo) <= 1
+    verdicts = [] if serial else warm_base_runs(ctx, jobs)
+    base_runs = {
+        (w, ctx.settings): ctx._runs[(w, ctx.settings)]
+        for w in BASE_WORKLOADS if (w, ctx.settings) in ctx._runs
+    }
+    if serial:
         for exhibit_id in todo:
-            build_experiment(exhibit_id, ctx)
-        return [(e, ctx.exhibit_cache[e]) for e in exhibit_ids]
-
-    warm_base_runs(ctx, jobs)
-    base_keys = [(w, ctx.settings) for w in BASE_WORKLOADS]
-    base_runs = {key: ctx._runs[key] for key in base_keys}
-    with multiprocessing.Pool(
-        processes=min(jobs, len(todo)),
-        initializer=_init_exhibit_worker,
-        initargs=(ctx.settings, ctx.cache, ctx.cache_exhibits, base_runs),
-    ) as pool:
-        built = _pool_map(pool, _build_exhibit, todo, "exhibit build")
-    for exhibit_id, (exhibit, delta) in zip(todo, built):
-        ctx.exhibit_cache[exhibit_id] = exhibit
+            results[exhibit_id] = _worker_boundary(
+                f"exhibit {exhibit_id!r}", build_exhibit, exhibit_id,
+                ctx.settings, ctx.cache, base_runs, ctx.cache_exhibits,
+            )
+        ctx._runs.update(base_runs)
+    else:
+        with multiprocessing.Pool(
+            processes=min(jobs, len(todo)),
+            initializer=_init_exhibit_worker,
+            initargs=(ctx.settings, ctx.cache, ctx.cache_exhibits, base_runs),
+        ) as pool:
+            built = _pool_map(pool, _build_exhibit, todo, "exhibit build")
+        built[0] = built[0]._replace(verdicts=verdicts + built[0].verdicts)
+        results.update(zip(todo, built))
+    for exhibit_id, build in results.items():
+        ctx.exhibit_cache[exhibit_id] = build.exhibit
         if ctx.cache is not None:
-            ctx.cache.add_stats(delta)
-    return [(e, ctx.exhibit_cache[e]) for e in exhibit_ids]
+            ctx.cache.add_stats(build.counters)
+    return [(e, results[e]) for e in exhibit_ids]

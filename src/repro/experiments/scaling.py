@@ -62,11 +62,7 @@ def build(ctx: ExperimentContext) -> Exhibit:
         )
         exhibit.add_check_coverage(run)
         rates = failed_acquires_per_ms(run.kernel, warmup + horizon)
-        sharing = sum(
-            count
-            for (dom, _kind, cls), count in report.analysis.miss_counts.items()
-            if dom is RefDomain.OS and cls is MissClass.SHARING
-        )
+        sharing = report.analysis.class_counts(RefDomain.OS)[MissClass.SHARING]
         preset = MACHINES[name]
         exhibit.add_row(
             name,

@@ -32,9 +32,10 @@ def build(ctx: ExperimentContext) -> Exhibit:
     escape_total = 0
     for workload in paperdata.WORKLOADS:
         analysis = ctx.report(workload).analysis
-        for (dom, _kind, cls), count in analysis.miss_counts.items():
-            if dom is RefDomain.OS and count:
-                observed.add(cls)
+        observed.update(
+            cls for cls, count in analysis.class_counts(RefDomain.OS).items()
+            if count
+        )
         escape_total += analysis.escape_reads
     for cls, meaning in _MEANINGS.items():
         if cls is MissClass.UNCACHED:

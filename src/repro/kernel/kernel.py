@@ -448,9 +448,6 @@ class Kernel:
     # ------------------------------------------------------------------
     # Device event plumbing (driven by the session)
     # ------------------------------------------------------------------
-    def next_device_event_cycles(self) -> Optional[int]:
-        return self.fs.disk.next_time()
-
     def service_disk(self, proc: Processor) -> None:
         payloads = self.fs.disk.pop_due(proc.cycles)
         if payloads:

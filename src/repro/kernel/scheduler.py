@@ -148,9 +148,6 @@ class Scheduler:
         """Lock-free peek used by the idle loop (no Runqlk traffic)."""
         return any(self.queues)
 
-    def queue_lengths(self) -> List[int]:
-        return [len(queue) for queue in self.queues]
-
     # ------------------------------------------------------------------
     # Context switch
     # ------------------------------------------------------------------

@@ -186,9 +186,3 @@ class VmSubsystem:
             return freed
         finally:
             self._reclaiming = False
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def frames_in_use(self, use: str) -> int:
-        return sum(1 for u, _ in self.frame_use.values() if u == use)

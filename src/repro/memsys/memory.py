@@ -124,10 +124,5 @@ class PhysicalMemory:
     def is_kernel_text(self, addr: int) -> bool:
         return self.regions["ktext"].contains(addr)
 
-    def is_kernel_static(self, addr: int) -> bool:
-        return self.regions["kdata"].contains(addr) or self.regions[
-            "kheap"
-        ].contains(addr)
-
     def is_escape(self, addr: int) -> bool:
         return self.regions["escape"].contains(addr)

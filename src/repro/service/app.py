@@ -32,12 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
-from repro.experiments._base import (
-    Exhibit,
-    ExperimentContext,
-    RunSettings,
-    resolve_settings,
-)
+from repro.experiments._base import Exhibit, RunSettings, resolve_settings
 from repro.experiments.registry import (
     EXPERIMENTS,
     list_exhibit_metadata,
@@ -172,7 +167,8 @@ class ServiceMetrics:
 
 
 class ServiceApp:
-    """Routes requests over one shared :class:`ExperimentContext`."""
+    """Routes requests; serves exhibits from memory, finished jobs or
+    the disk cache, and queues a build job for the rest."""
 
     def __init__(self, config: Optional[ServiceConfig] = None,
                  jobs: Optional[JobManager] = None):
@@ -183,7 +179,8 @@ class ServiceApp:
             cache_dir=self.config.cache_dir,
             enabled=not self.config.no_cache,
         )
-        self.ctx = ExperimentContext(self.config.settings, cache=self.cache)
+        # Exhibits built or loaded since startup, by (exhibit_id, settings).
+        self.exhibits: Dict[Tuple[str, RunSettings], Exhibit] = {}
         self.jobs = jobs if jobs is not None else JobManager(
             self.config.settings,
             cache=self.cache if self.cache.enabled else None,
@@ -328,11 +325,7 @@ class ServiceApp:
         and its own disk entry, so a mixed-tier, cpus16 or skew-tuned
         build never shadows the default exhibit.
         """
-        if settings == self.config.settings:
-            memory_key = exhibit_id
-        else:
-            memory_key = f"{exhibit_id}@{settings.cache_repr()}"
-        cached = self.ctx.exhibit_cache.get(memory_key)
+        cached = self.exhibits.get((exhibit_id, settings))
         if cached is not None:
             return cached
         payload = self.jobs.result_for_exhibit(exhibit_id, settings)
@@ -343,7 +336,7 @@ class ServiceApp:
             exhibit = payload.get("exhibit") if payload is not None else None
             if not isinstance(exhibit, Exhibit):
                 return None
-        self.ctx.exhibit_cache[memory_key] = exhibit
+        self.exhibits[(exhibit_id, settings)] = exhibit
         return exhibit
 
     def _job(self, job_id: str) -> Reply:

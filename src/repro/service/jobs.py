@@ -5,14 +5,15 @@ event loop must never pay it inline. Instead the request becomes a
 :class:`Job` on a bounded :class:`asyncio.Queue`, drained by asyncio
 worker tasks that push the actual build into a
 :class:`~concurrent.futures.ProcessPoolExecutor` (simulations are
-CPU-bound; threads would serialize on the GIL). Each worker reuses the
-stack that already exists for batch runs: the build lands in
-:func:`repro.experiments.registry.run_experiment` against a per-process
-:class:`ExperimentContext` backed by the shared persistent
-:class:`~repro.sim.runcache.RunCache` — so a job's result is written to
-the content-addressed store and every later request for the same
-exhibit is cache-warm, and the cache's advisory claim lock keeps two
-workers from simulating the same key twice.
+CPU-bound; threads would serialize on the GIL). The build is the one
+``repro-experiments run`` uses,
+:func:`repro.experiments.parallel.build_exhibit`: a fresh context per
+job over the shared persistent :class:`~repro.sim.runcache.RunCache`,
+so a job's result is written to the content-addressed store and every
+later request for the same exhibit is cache-warm, and the cache's
+advisory claim lock keeps two workers from simulating the same key
+twice. The run-cache counters a job moved come back with its exhibit
+and are added into the manager's cache, which ``/metrics`` reads.
 
 Backpressure is the queue bound itself: :meth:`JobManager.submit`
 raises :class:`QueueFull` instead of queueing unboundedly, and the HTTP
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.experiments._base import RunSettings
+from repro.experiments.parallel import build_exhibit
 
 # Job lifecycle states. Terminal states keep their result/error forever
 # (the manager holds a bounded history so /jobs/<id> keeps answering
@@ -96,32 +98,16 @@ class Job:
         return payload
 
 
-def build_exhibit_payload(exhibit_id: str, settings, cache):
-    """Worker-process entry point: build one exhibit and return its
-    :meth:`Exhibit.to_dict` payload.
-
-    Runs in a :class:`ProcessPoolExecutor` child, which receives the
-    service's :class:`~repro.sim.runcache.RunCache` (or None) pickled.
-    The context is built fresh per call (child processes are reused
-    across jobs, but a context per job keeps memory bounded and
-    semantics identical to a CLI invocation); the persistent run cache
-    turns repeat work into loads, including the three base-workload
-    simulations.
-    """
-    from repro.experiments._base import ExperimentContext
-    from repro.experiments.registry import run_experiment
-
-    ctx = ExperimentContext(settings, cache=cache)
-    return run_experiment(exhibit_id, ctx).to_dict()
-
-
 class JobManager:
     """Bounded queue + worker pool with per-job timeout and cancel.
 
     ``runner`` is the synchronous build function executed on the
-    executor — injectable so tests can substitute stubs; the default is
-    :func:`build_exhibit_payload`. ``executor`` is likewise injectable
-    (tests use a thread pool; production uses processes).
+    executor, called as ``runner(exhibit_id, settings, cache)`` and
+    returning ``(exhibit, counters, verdicts)`` — injectable so tests
+    can substitute stubs; the default is
+    :func:`~repro.experiments.parallel.build_exhibit`. ``executor`` is
+    likewise injectable (tests use a thread pool; production uses
+    processes).
     """
 
     def __init__(
@@ -131,7 +117,7 @@ class JobManager:
         max_workers: int = 2,
         queue_depth: int = 8,
         job_timeout_s: float = 600.0,
-        runner=build_exhibit_payload,
+        runner=build_exhibit,
         executor=None,
         metrics=None,
     ):
@@ -301,7 +287,7 @@ class JobManager:
         )
         self._tasks_by_job[job.job_id] = future
         try:
-            payload = await asyncio.wait_for(
+            exhibit, counters, _verdicts = await asyncio.wait_for(
                 asyncio.shield(future), self.job_timeout_s
             )
         except asyncio.TimeoutError:
@@ -324,8 +310,10 @@ class JobManager:
         except Exception as exc:  # build raised in the worker process
             self._finish(job, FAILED, error=f"{type(exc).__name__}: {exc}")
         else:
+            if self.cache is not None:
+                self.cache.add_stats(counters)
             if job.state == RUNNING:  # not cancelled mid-flight
-                job.result = payload
+                job.result = exhibit.to_dict()
                 self._finish(job, DONE)
         finally:
             self.busy_workers -= 1

@@ -153,9 +153,11 @@ class RunCache:
     ) -> str:
         """Key for one traced run at fully-resolved settings.
 
-        Non-primitive override values (tuning dataclasses, layouts) are
-        keyed by ``repr``; dataclass reprs are deterministic and change
-        whenever a field does, which is exactly the invalidation we want.
+        ``sim_kwargs`` are :meth:`RunSettings.sim_kwargs` (the engine
+        fields that differ from their defaults), each keyed by its
+        ``repr``: deterministic for the bools, strings, ints, pair
+        tuples and :class:`MachineParams` those fields hold, and changed
+        whenever a value is.
         """
         material = {
             "format": _FORMAT,

@@ -23,6 +23,9 @@ Workload processes are generators yielding :mod:`~repro.workloads.actions`
 objects; the user-mode engine (:mod:`repro.sim.usermode`) executes them.
 """
 
+import inspect
+from typing import Optional, Tuple
+
 from repro.workloads.base import NetEvent, TtyEvent, Workload
 from repro.workloads.pmake import PmakeWorkload
 from repro.workloads.multpgm import MultpgmWorkload
@@ -54,6 +57,16 @@ register_workload("multpgm", MultpgmWorkload)
 register_workload("oracle", OracleWorkload)
 register_workload("kv", KvWorkload)
 register_workload("netserver", NetserverWorkload)
+
+
+def workload_arg_names(name: Optional[str] = None) -> Tuple[str, ...]:
+    """The keyword arguments registered workload ``name``'s constructor
+    takes, sorted; without ``name``, those any registered workload takes."""
+    classes = WORKLOADS.values() if name is None else [WORKLOADS[name]]
+    return tuple(sorted({
+        arg for cls in classes
+        for arg in list(inspect.signature(cls.__init__).parameters)[1:]
+    }))
 
 
 def canonical_workload_args(args) -> tuple:
@@ -101,14 +114,21 @@ def make_workload(name: str, **kwargs) -> Workload:
     """Instantiate a registered workload by name (case-insensitive).
 
     ``kwargs`` are the workload's tuning knobs (``KvWorkload(skew=...)``
-    and friends); an unknown name raises :class:`ValueError` listing
-    every registered workload.
+    and friends). An unknown name raises :class:`ValueError` listing
+    every registered workload; a knob the workload does not take raises
+    one listing the knobs it does.
     """
-    cls = WORKLOADS.get(name.lower() if isinstance(name, str) else name)
+    key = name.lower() if isinstance(name, str) else name
+    cls = WORKLOADS.get(key)
     if cls is None:
         raise ValueError(
             f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}"
         )
+    taken = workload_arg_names(key)
+    unknown = ", ".join(map(repr, sorted(set(kwargs) - set(taken))))
+    if unknown:
+        raise ValueError(f"workload {key!r} takes no argument {unknown}; "
+                         f"it takes {', '.join(taken) or 'none'}")
     return cls(**kwargs)
 
 
@@ -126,4 +146,5 @@ __all__ = [
     "make_workload",
     "parse_workload_args",
     "register_workload",
+    "workload_arg_names",
 ]

@@ -168,13 +168,5 @@ class KvWorkload(Workload):
                 yield A.Misc("time")
 
     # ------------------------------------------------------------------
-    def total_stats(self) -> Dict[str, int]:
-        """Summed per-worker ledger (ops, misses, miss cycles)."""
-        totals = {"gets": 0, "puts": 0, "bc_misses": 0, "miss_cycles": 0}
-        for stats in self.worker_stats.values():
-            for field, value in stats.items():
-                totals[field] += value
-        return totals
-
     def baseline_frames(self) -> int:
         return 5600

@@ -322,7 +322,7 @@ class TestServiceMachineParam:
 
         app = ServiceApp(ServiceConfig(no_cache=True))
         exhibit = Exhibit("figure-scaling", "T", ("a",))
-        app.ctx.exhibit_cache["figure-scaling"] = exhibit
+        app.exhibits[("figure-scaling", app.config.settings)] = exhibit
         direct = app.handle("GET", "/exhibits/figure-scaling", "")
         alias = app.handle("GET", "/exhibits/scaling", "")
         assert direct.status == alias.status == 200

@@ -31,22 +31,22 @@ def test_parallel_matches_serial_without_cache(serial_texts):
     ctx = ExperimentContext(_SMALL)
     built = parallel.run_exhibits(ctx, _EXHIBITS, jobs=3)
     assert [e for e, _ in built] == _EXHIBITS
-    for exhibit_id, exhibit in built:
-        assert exhibit.to_text() == serial_texts[exhibit_id]
+    for exhibit_id, build in built:
+        assert build.exhibit.to_text() == serial_texts[exhibit_id]
 
 
 @pytest.mark.usefixtures("cache_env")
 def test_parallel_matches_serial_with_cache(serial_texts, tmp_path):
     cold = ExperimentContext(_SMALL, cache=RunCache(cache_dir=tmp_path))
     built = parallel.run_exhibits(cold, _EXHIBITS, jobs=3)
-    for exhibit_id, exhibit in built:
-        assert exhibit.to_text() == serial_texts[exhibit_id]
+    for exhibit_id, build in built:
+        assert build.exhibit.to_text() == serial_texts[exhibit_id]
 
     # Second, warm context: everything must come from disk, unchanged.
     warm = ExperimentContext(_SMALL, cache=RunCache(cache_dir=tmp_path))
     rebuilt = parallel.run_exhibits(warm, _EXHIBITS, jobs=3)
-    for exhibit_id, exhibit in rebuilt:
-        assert exhibit.to_text() == serial_texts[exhibit_id]
+    for exhibit_id, build in rebuilt:
+        assert build.exhibit.to_text() == serial_texts[exhibit_id]
     assert warm.cache.hits == len(_EXHIBITS)
     assert warm.cache.misses == 0
 
@@ -65,35 +65,56 @@ def test_parallel_matches_serial_at_non_default_settings(settings):
     serial_ctx = ExperimentContext(settings)
     serial = {e: run_experiment(e, serial_ctx).to_text() for e in _EXHIBITS}
     built = parallel.run_exhibits(ExperimentContext(settings), _EXHIBITS, jobs=3)
-    assert {e: exhibit.to_text() for e, exhibit in built} == serial
+    assert {e: build.exhibit.to_text() for e, build in built} == serial
 
 
 def test_parallel_keeps_only_base_runs(serial_texts):
-    """Workers return only exhibits: the caller's context holds the three
-    base runs and none of the five runs figure-skew's sweep adds."""
+    """Each exhibit builds on a fresh context, in this process or a
+    worker: the caller's context holds the three base runs and none of
+    the five runs figure-skew's sweep adds."""
+    for jobs in (1, 2):
+        ctx = ExperimentContext(_SMALL)
+        parallel.run_exhibits(ctx, ["table1", "figure-skew"], jobs=jobs)
+        assert {"table1", "figure-skew"} <= set(ctx.exhibit_cache)
+        assert ctx.exhibit_cache["table1"].to_text() == serial_texts["table1"]
+        assert set(ctx._runs) == {
+            (workload, ctx.settings) for workload in parallel.BASE_WORKLOADS
+        }, jobs
+        # Further serial derivations reuse the base runs.
+        assert run_experiment("table4", ctx).to_text()
+
+
+def test_serial_build_simulates_only_what_it_reads(monkeypatch):
+    """A cold serial table7 simulates pmake, the one run it reads: the
+    build is handed the caller's runs, not pre-warmed base runs."""
+    from repro.sim._session import Simulation
+
+    built = []
+    original = Simulation.__init__
+
+    def spy(self, workload, *args, **kwargs):
+        built.append(workload)
+        original(self, workload, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "__init__", spy)
     ctx = ExperimentContext(_SMALL)
-    parallel.run_exhibits(ctx, ["table1", "figure-skew"], jobs=2)
-    assert {"table1", "figure-skew"} <= set(ctx.exhibit_cache)
-    assert ctx.exhibit_cache["table1"].to_text() == serial_texts["table1"]
-    assert set(ctx._runs) == {
-        (workload, ctx.settings) for workload in parallel.BASE_WORKLOADS
-    }
-    # Further serial derivations reuse the base runs.
-    assert run_experiment("table4", ctx).to_text()
+    parallel.run_exhibits(ctx, ["table7"], jobs=1)
+    assert built == ["pmake"]
+    assert set(ctx._runs) == {("pmake", ctx.settings)}
 
 
 def test_single_exhibit_stays_serial(serial_texts):
     """jobs>1 with one target must not spin up a pool (and must match)."""
     ctx = ExperimentContext(_SMALL)
     built = parallel.run_exhibits(ctx, ["table1"], jobs=3)
-    assert built[0][1].to_text() == serial_texts["table1"]
+    assert built[0][1].exhibit.to_text() == serial_texts["table1"]
 
 
 def test_jobs_one_is_pure_serial(serial_texts):
     ctx = ExperimentContext(_SMALL)
     built = parallel.run_exhibits(ctx, _EXHIBITS, jobs=1)
-    for exhibit_id, exhibit in built:
-        assert exhibit.to_text() == serial_texts[exhibit_id]
+    for exhibit_id, build in built:
+        assert build.exhibit.to_text() == serial_texts[exhibit_id]
 
 
 def test_cli_defaults_track_runsettings(monkeypatch, cli_settings):
@@ -142,6 +163,71 @@ def test_parallel_cache_stats_count_worker_stores(tmp_path):
         assert ctx.cache.stores == ctx.cache.misses == written
         stats[jobs] = ctx.cache.stats()
     assert stats[2] == stats[1]
+
+
+def _verdict_lines(built):
+    return sorted(
+        (verdict.report.summary(), verdict.crosscheck)
+        for _, build in built for verdict in build.verdicts
+    )
+
+
+_CHECKED = dataclasses.replace(_SMALL, horizon_ms=2.0, warmup_ms=5.0, check=True)
+# All three base runs, and two private variant runs.
+_CHECKED_EXHIBITS = ["table2", "ablation-runqueues"]
+
+
+def test_checked_verdicts_match_across_jobs(monkeypatch):
+    """Serial or pooled, a checked build reports each run behind the
+    exhibits once: the three base runs and the ablation's two runs."""
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    verdicts = {}
+    for jobs in (1, 2):
+        ctx = ExperimentContext(_CHECKED)
+        built = parallel.run_exhibits(ctx, _CHECKED_EXHIBITS, jobs=jobs)
+        verdicts[jobs] = _verdict_lines(built)
+        assert all(
+            v.report.ok and v.crosscheck_ok
+            for _, build in built for v in build.verdicts
+        )
+    assert verdicts[1] == verdicts[2]
+    workloads = sorted(summary.split("[")[1].split("]")[0]
+                       for summary, _ in verdicts[1])
+    assert workloads == ["multpgm", "multpgm", "multpgm", "oracle", "pmake"]
+
+
+@pytest.mark.skipif(
+    __import__("multiprocessing").get_start_method() != "fork",
+    reason="in-parent monkeypatch reaches workers only under fork",
+)
+def test_cli_check_exits_2_on_injected_mismatch(monkeypatch, capsys):
+    """The corrupted checker counter of test_sanitizers'
+    ``test_crosscheck_lines_flag_mismatch`` fails --check at every
+    --jobs, pool workers included."""
+    from repro.experiments import cli
+
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    analyze_trace = parallel.analyze_trace
+
+    def corrupted(run, **kwargs):
+        report = analyze_trace(run, **kwargs)
+        report.check_counters["bus_reads"] += 1
+        return report
+
+    monkeypatch.setattr(parallel, "analyze_trace", corrupted)
+    # `run all` over two exhibits, so --jobs 2 takes the pool path.
+    monkeypatch.setattr(
+        cli, "EXPERIMENTS", {e: None for e in _CHECKED_EXHIBITS}
+    )
+    for jobs in ("1", "2"):
+        rc = cli.main([
+            "run", "all", "--check", "--jobs", jobs, "--no-cache",
+            "--horizon-ms", "2", "--warmup-ms", "5", "--seed", "5",
+        ])
+        assert rc == 2, jobs
+        err = capsys.readouterr().err
+        assert err.count("crosscheck data_reads") == 5
+        assert "MISMATCH" in err
 
 
 def test_cli_parallel_output_matches_serial(tmp_path, capsys):
@@ -199,10 +285,10 @@ class TestWorkerFailureSurfacing:
         reason="in-parent monkeypatch reaches workers only under fork",
     )
     def test_failing_build_aborts_real_pool_run(self, monkeypatch):
-        def broken_inner(exhibit_id):
+        def broken_build(exhibit_id, *args):
             raise RuntimeError("simulated worker crash")
 
-        monkeypatch.setattr(parallel, "_build_exhibit_inner", broken_inner)
+        monkeypatch.setattr(parallel, "build_exhibit", broken_build)
         ctx = ExperimentContext(_SMALL)
         with pytest.raises(
             parallel.ParallelWorkerError, match="simulated worker crash"
@@ -210,20 +296,22 @@ class TestWorkerFailureSurfacing:
             parallel.run_exhibits(ctx, _EXHIBITS, jobs=3)
 
     def test_cli_exits_3_on_worker_failure(self, monkeypatch, capsys):
+        """A failed build exits 3 naming the exhibit, with the build's
+        traceback, serial or parallel."""
         from repro.experiments import cli
 
-        def boom(ctx, targets, jobs=None):
-            raise parallel.ParallelWorkerError(
-                "worker failed on exhibit 'table3': ValueError: boom"
-            )
+        def broken_build(exhibit_id, *args):
+            raise ValueError("boom")
 
-        monkeypatch.setattr(cli.parallel, "run_exhibits", boom)
-        rc = cli.main([
-            "run", "table3", "--jobs", "2",
-            "--horizon-ms", "1", "--warmup-ms", "2", "--no-cache",
-        ])
-        assert rc == 3
-        captured = capsys.readouterr()
-        assert "parallel run failed" in captured.err
-        assert "table3" in captured.err
-        assert captured.out == ""  # no partial exhibit output
+        monkeypatch.setattr(parallel, "build_exhibit", broken_build)
+        for jobs in ("1", "2"):
+            rc = cli.main([
+                "run", "table3", "--jobs", jobs,
+                "--horizon-ms", "1", "--warmup-ms", "2", "--no-cache",
+            ])
+            assert rc == 3, jobs
+            captured = capsys.readouterr()
+            assert "exhibit build failed" in captured.err
+            assert "exhibit 'table3': ValueError: boom" in captured.err
+            assert "Traceback" in captured.err
+            assert captured.out == ""  # no partial exhibit output

@@ -33,9 +33,11 @@ pytestmark = pytest.mark.usefixtures("cache_env")
 # Stub runners (executed on a ThreadPoolExecutor in tests)
 # ----------------------------------------------------------------------
 def _stub_runner(exhibit_id, settings, cache_spec):
+    """Returns what the real runner, ``parallel.build_exhibit``, does:
+    the exhibit, the run-cache counters it moved and its verdicts."""
     exhibit = Exhibit(exhibit_id, f"Stub {exhibit_id}", ("col",))
     exhibit.add_row("row", 1)
-    return exhibit.to_dict()
+    return exhibit, {}, []
 
 
 def _failing_runner(exhibit_id, settings, cache_spec):
@@ -524,7 +526,7 @@ class TestServiceApp:
                 settings=_SHORT, cache_dir=str(tmp_path / "cache"),
                 max_workers=1, queue_depth=4,
             )
-            jobs = JobManager(  # real build_exhibit_payload, on threads
+            jobs = JobManager(  # the real build, on threads
                 config.settings,
                 cache=RunCache(cache_dir=tmp_path / "cache"),
                 max_workers=1,
@@ -546,6 +548,36 @@ class TestServiceApp:
             "table11", cache=False, horizon_ms=1.0, warmup_ms=5.0, seed=5
         )
         assert body.decode() == expected.to_json() + "\n"
+
+
+    def test_cold_job_counts_worker_stores(self, tmp_path):
+        """A job's worker process stores the runs and the exhibit; the
+        service's /metrics counts every one of those stores."""
+        async def scenario():
+            config = ServiceConfig(
+                settings=_SHORT, cache_dir=str(tmp_path / "cache"),
+                max_workers=1, queue_depth=4,
+            )
+            app = ServiceApp(config)  # the real process-pool worker
+            await app.start()
+            try:
+                job_id = app.handle("GET", "/exhibits/table1").json()["job"]
+                finished = await _wait_terminal(app.jobs, job_id, timeout_s=120)
+                assert finished.state == DONE, finished.error
+                return app.handle("GET", "/metrics").body.decode()
+            finally:
+                await app.close()
+
+        text = asyncio.run(scenario())
+        samples = dict(
+            line.rsplit(" ", 1) for line in text.splitlines()
+            if line.startswith("repro_runcache_")
+        )
+        written = len(list((tmp_path / "cache").glob("*.pkl")))
+        assert written == 4  # three base runs and the exhibit
+        assert float(samples["repro_runcache_stores_total"]) == written
+        # The app's own probe for the exhibit, and the worker's for the runs.
+        assert float(samples["repro_runcache_misses_total"]) == written
 
 
 # ----------------------------------------------------------------------
@@ -691,12 +723,13 @@ class TestMainConfig:
 # Analysis metrics plumbing
 # ----------------------------------------------------------------------
 class TestShardMetrics:
-    """The analysis is serial only: runners return the bare payload and
-    /metrics carries no per-shard analysis series."""
+    """The analysis is serial only: a job's result is the plain exhibit
+    payload and /metrics carries no per-shard analysis series."""
 
     def test_plain_dict_runner_results_pass_through(self):
-        """A runner's bare payload dict is the job result as is, with the
-        service metrics attached, and no shard gauge is rendered."""
+        """The runner's exhibit, as its plain ``to_dict()`` payload, is the
+        job result, with the service metrics attached, and no shard
+        gauge is rendered."""
         from repro.service.app import ServiceMetrics
 
         async def scenario():
@@ -708,7 +741,8 @@ class TestShardMetrics:
                 job, _ = jobs.submit("table1")
                 finished = await _wait_terminal(jobs, job.job_id)
                 assert finished.state == DONE
-                assert finished.result == _stub_runner("table1", _SHORT, None)
+                exhibit, _counters, _verdicts = _stub_runner("table1", _SHORT, None)
+                assert finished.result == exhibit.to_dict()
                 text = registry.render()
                 assert 'repro_jobs_total{outcome="done"} 1' in text
                 assert "repro_analysis_shard" not in text

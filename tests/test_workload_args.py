@@ -127,6 +127,32 @@ class TestServicePlumbing:
         assert job.variant != Job("j4", "table1", settings).variant
         assert job.to_dict()["workload_args"] == [["skew", 1.2]]
 
+    def test_unknown_arg_name_is_400(self):
+        from repro.service.app import ServiceApp, ServiceConfig
+
+        app = ServiceApp(ServiceConfig(no_cache=True))
+        reply = app.handle("GET", "/exhibits/table1", "workload_arg=skwe=1.2")
+        assert reply.status == 400
+        body = reply.json()
+        assert body["error"] == "no workload takes the argument 'skwe'"
+        assert "skew" in body["choices"] and "num_files" in body["choices"]
+        assert app.jobs.depth == 0  # rejected before any job
+
+    def test_cli_rejects_unknown_arg_name(self, capsys):
+        from repro.experiments.cli import main
+
+        code = main(["run", "table1", "--workload-arg", "skwe=1.2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no workload takes the argument 'skwe'")
+        assert "skew" in err
+
+    def test_api_rejects_unknown_arg_name(self):
+        from repro import api
+
+        with pytest.raises(ValueError, match="no workload takes the argument 'skwe'"):
+            api.exhibit("table1", cache=False, workload_args={"skwe": 1.2})
+
     def test_cli_rejects_malformed_args(self, capsys):
         from repro.experiments.cli import main
 
@@ -167,14 +193,12 @@ class TestSkewExperiment:
     def test_kv_only_knobs_do_not_reach_netserver(self):
         """A tuned sweep with kv-only knobs must not crash the last row."""
         from repro.experiments.figure_skew import _accepted
-        from repro.workloads.kv import KvWorkload
-        from repro.workloads.netserver import NetserverWorkload
 
         base = {"keys": 4096, "workers": 3, "skew": 1.2, "servers": 2}
-        assert _accepted(KvWorkload, base) == {
+        assert _accepted("kv", base) == {
             "keys": 4096, "workers": 3, "skew": 1.2
         }
-        assert _accepted(NetserverWorkload, base) == {
+        assert _accepted("netserver", base) == {
             "skew": 1.2, "servers": 2
         }
 

@@ -6,7 +6,7 @@ from repro.common.rng import substream
 from repro.api import Simulation
 from repro.workloads import (
     WORKLOADS, canonical_workload_args, make_workload, parse_workload_args,
-    register_workload,
+    register_workload, workload_arg_names,
 )
 from repro.workloads.kv import KvWorkload
 from repro.workloads.multpgm import MultpgmWorkload
@@ -81,6 +81,25 @@ class TestWorkloadArgs:
     def test_simulation_applies_args_by_name(self):
         sim = Simulation("kv", seed=1, workload_args=(("skew", 1.2),))
         assert sim.workload.skew == 1.2
+
+    def test_arg_names_follow_the_constructors(self):
+        assert workload_arg_names("pmake") == ("max_jobs", "num_files")
+        assert workload_arg_names("multpgm") == ()
+        every = workload_arg_names()
+        assert set(workload_arg_names("kv")) <= set(every)
+        assert "scale" in every and "self" not in every
+
+    def test_make_workload_names_the_args_it_takes(self):
+        """A knob another workload takes fails before the constructor,
+        naming this workload and its knobs."""
+        with pytest.raises(ValueError) as excinfo:
+            make_workload("pmake", skew=1.2)
+        assert str(excinfo.value) == (
+            "workload 'pmake' takes no argument 'skew'; "
+            "it takes max_jobs, num_files"
+        )
+        with pytest.raises(ValueError, match="'multpgm' .* takes none"):
+            make_workload("multpgm", skew=1.2)
 
     def test_simulation_rejects_args_with_instance(self):
         with pytest.raises(TypeError):
