@@ -7,7 +7,10 @@ committed ``BENCH_baseline.json``::
     python benchmarks/compare.py BENCH_baseline.json BENCH_new.json
 
 Exit status 1 when any benchmark regressed beyond the threshold
-(default 25%).
+(default 25%), and 2 when the two files were recorded on different
+Python versions (major.minor of ``machine_info.python_version``): the
+collector's heuristics and the interpreter's speed differ between
+versions, so their timings do not compare.
 
 CI runners and developer machines differ in raw speed, so the default
 comparison is **relative**: each benchmark's candidate/baseline ratio
@@ -34,16 +37,19 @@ import argparse
 import json
 import statistics
 import sys
-from typing import Dict
+from typing import Dict, Tuple
 
 
-def load_medians(path: str) -> Dict[str, float]:
+def load_medians(path: str) -> Tuple[Dict[str, float], str]:
+    """Each benchmark's median by name, and the version of the Python
+    that recorded the file ("" when it does not say)."""
     with open(path) as fh:
         payload = json.load(fh)
     medians = {}
     for bench in payload.get("benchmarks", []):
         medians[bench["name"]] = float(bench["stats"]["median"])
-    return medians
+    version = payload.get("machine_info", {}).get("python_version", "")
+    return medians, version
 
 
 def ratios(base: Dict[str, float], cand: Dict[str, float], common,
@@ -83,8 +89,15 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    base = load_medians(args.baseline)
-    cand = load_medians(args.candidate)
+    base, base_python = load_medians(args.baseline)
+    cand, cand_python = load_medians(args.candidate)
+    if base_python and cand_python and (
+        base_python.split(".")[:2] != cand_python.split(".")[:2]
+    ):
+        print(f"not comparable: the baseline was recorded on Python "
+              f"{base_python}, the candidate on Python {cand_python}",
+              file=sys.stderr)
+        return 2
     common = sorted(set(base) & set(cand))
     if not common:
         print("no common benchmarks between the two files", file=sys.stderr)

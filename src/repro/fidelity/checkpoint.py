@@ -63,7 +63,10 @@ class EngineCheckpoint:
         """
         import heapq
 
-        state = pickle.loads(self.blob)
+        from repro.sim.runcache import young_gc_only
+
+        with young_gc_only():
+            state = pickle.loads(self.blob)
         sim = state["sim"]
         _reattach_drivers(sim)
         heapq.heappush(sim._heap, sim._pending_entry)
@@ -77,6 +80,8 @@ def capture(sim, now_cycles: int) -> EngineCheckpoint:
     (``fidelity="atomic"``/``"mixed"``, or ``record_drivers=True``);
     without it the workload generators cannot be replayed at restore.
     """
+    from repro.sim.runcache import young_gc_only
+
     if sim.kernel.driver_log is None:
         raise ValueError(
             "checkpoint capture requires an active driver log; run with "
@@ -89,9 +94,11 @@ def capture(sim, now_cycles: int) -> EngineCheckpoint:
         detached[name] = getattr(sim, name)
         setattr(sim, name, None)
     try:
-        blob = pickle.dumps(
-            {"sim": sim, "now": now_cycles}, protocol=pickle.HIGHEST_PROTOCOL
-        )
+        with young_gc_only():
+            blob = pickle.dumps(
+                {"sim": sim, "now": now_cycles},
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
     finally:
         for name, value in detached.items():
             setattr(sim, name, value)
@@ -104,11 +111,6 @@ def capture(sim, now_cycles: int) -> EngineCheckpoint:
         now_cycles=now_cycles,
         blob=blob,
     )
-
-
-def restore(checkpoint: EngineCheckpoint):
-    """Functional-style alias for :meth:`EngineCheckpoint.restore`."""
-    return checkpoint.restore()
 
 
 # ----------------------------------------------------------------------

@@ -35,18 +35,24 @@ Safety properties:
   pool of service workers from doing N× the work on a thundering herd —
   and fall back to simulating themselves if the winner dies or stalls
   past the stale-lock horizon.
+
+Pickling or unpickling a whole engine runs under :func:`young_gc_only`,
+so the collector's full collections do not walk a half-built payload.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import pickle
 import tempfile
+import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 _ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 _ENV_NO_CACHE = "REPRO_NO_CACHE"
@@ -112,6 +118,47 @@ def _package_version() -> str:
     import repro
 
     return getattr(repro, "__version__", "0")
+
+
+# ----------------------------------------------------------------------
+# Young-generation GC around engine (un)pickling
+# ----------------------------------------------------------------------
+# Unpickling an engine creates up to 1.4M tracked objects (oracle's run
+# at 5 ms after 30 ms), and pickling one walks as many. A full
+# collection started meanwhile walks that half-built graph and frees
+# nothing, since all of it is reachable. Young collections stay on:
+# they untrack the int-only tuples in batches small enough to stay in
+# the CPU cache, where switching the collector off would leave them all
+# to the first collection after the block. The thresholds are global to
+# the process and threads may nest blocks, so a lock guards the depth
+# and the thresholds the outermost entry saved.
+
+_GC_NEVER = 2**31 - 1  # the largest threshold gc.set_threshold accepts
+_young_gc_lock = threading.Lock()
+_young_gc_depth = 0
+_young_gc_saved: Tuple[int, ...] = ()
+
+
+@contextmanager
+def young_gc_only() -> Iterator[None]:
+    """Run the block with automatic collections limited to generation 0.
+
+    The outermost block saves ``gc.get_threshold()`` and restores it on
+    exit; ``gc.isenabled()`` is never touched.
+    """
+    global _young_gc_depth, _young_gc_saved
+    with _young_gc_lock:
+        if _young_gc_depth == 0:
+            _young_gc_saved = gc.get_threshold()
+            gc.set_threshold(_young_gc_saved[0], _GC_NEVER, _GC_NEVER)
+        _young_gc_depth += 1
+    try:
+        yield
+    finally:
+        with _young_gc_lock:
+            _young_gc_depth -= 1
+            if _young_gc_depth == 0:
+                gc.set_threshold(*_young_gc_saved)
 
 
 # ----------------------------------------------------------------------
@@ -212,7 +259,7 @@ class RunCache:
         """Uncounted read (shared by :meth:`load` and the claim waiter)."""
         path = self._path(key)
         try:
-            with open(path, "rb") as fh:
+            with open(path, "rb") as fh, young_gc_only():
                 payload = pickle.load(fh)
             if not isinstance(payload, dict):
                 raise ValueError("cache payload is not a dict")
@@ -235,7 +282,7 @@ class RunCache:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
             try:
-                with os.fdopen(fd, "wb") as fh:
+                with os.fdopen(fd, "wb") as fh, young_gc_only():
                     pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
                 os.replace(tmp, self._path(key))
             except BaseException:

@@ -16,11 +16,14 @@ _spec.loader.exec_module(compare)
 MEDIANS = {f"test_bench_{i}": 0.1 * (i + 1) for i in range(5)}
 
 
-def _write(path: Path, medians) -> str:
-    path.write_text(json.dumps({"benchmarks": [
+def _write(path: Path, medians, python=None) -> str:
+    payload = {"benchmarks": [
         {"name": name, "stats": {"median": value}}
         for name, value in medians.items()
-    ]}))
+    ]}
+    if python is not None:
+        payload["machine_info"] = {"python_version": python}
+    path.write_text(json.dumps(payload))
     return str(path)
 
 
@@ -64,3 +67,23 @@ class TestHostNormalization:
         got = compare.ratios(base, cand, sorted(base), absolute=absolute)
         assert got == ({"a": 2.0, "b": 2.0, "c": 4.0} if absolute
                        else {"a": 1.0, "b": 1.0, "c": 2.0})
+
+
+class TestPythonVersion:
+    """Timings recorded on different interpreters do not compare: the
+    collector's heuristics and the interpreter's speed both change."""
+
+    def _gate(self, tmp_path, base_python, cand_python):
+        return compare.main([
+            _write(tmp_path / "base.json", MEDIANS, base_python),
+            _write(tmp_path / "cand.json", MEDIANS, cand_python),
+        ])
+
+    def test_other_minor_version_is_refused(self, tmp_path, capsys):
+        assert self._gate(tmp_path, "3.11.7", "3.12.1") == 2
+        err = capsys.readouterr().err
+        assert "3.11.7" in err and "3.12.1" in err
+
+    def test_other_patch_release_is_compared(self, tmp_path, capsys):
+        assert self._gate(tmp_path, "3.11.7", "3.11.10") == 0
+        assert "OK: no benchmark regressed" in capsys.readouterr().out

@@ -9,6 +9,8 @@ against, pending timer interrupts).
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.analysis.report import analyze_trace
@@ -62,6 +64,20 @@ class TestCheckpointRoundTrip:
         params = Simulation("pmake", seed=SEED).params
         cut = params.ms_to_cycles(WARMUP + HORIZON / 2)
         self._roundtrip(reference, checkpoint_at=cut)
+
+    def test_capture_and_restore_keep_gc_thresholds(self, reference):
+        """Capture and restore pickle under young-only GC, and leave the
+        collector's thresholds as they found them."""
+        original = gc.get_threshold()
+        gc.set_threshold(691, 9, 11)
+        try:
+            params = Simulation("pmake", seed=SEED).params
+            self._roundtrip(
+                reference, checkpoint_at=params.ms_to_cycles(WARMUP) // 2
+            )
+            assert gc.get_threshold() == (691, 9, 11) and gc.isenabled()
+        finally:
+            gc.set_threshold(*original)
 
     def test_cut_mid_lock_spin(self, reference):
         """Cut while a lock hold interval is open against a slower CPU —

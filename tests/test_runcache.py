@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import pickle
+import sys
+import threading
 
 import pytest
 
 from repro.analysis.report import AnalysisReport
 from repro.sim.runcache import (
+    _GC_NEVER,
     RunCache,
     cache_disabled_by_env,
     default_cache_dir,
     load_or_run,
     source_digest,
+    young_gc_only,
 )
 from repro.api import RunSettings, TracedRun
 
@@ -366,6 +371,105 @@ class TestClaimLock:
             "dedup_hits": 0,
         }
         assert "dedup" not in cache.stats_line()
+
+
+@pytest.fixture
+def odd_thresholds():
+    """Distinctive GC thresholds, so a restore to the defaults shows."""
+    original = gc.get_threshold()
+    gc.set_threshold(691, 9, 11)
+    try:
+        yield (691, 9, 11)
+    finally:
+        gc.set_threshold(*original)
+
+
+class TestYoungGcOnly:
+    """(Un)pickling runs only young collections, and always restores the
+    collector's thresholds, whatever happens inside."""
+
+    def test_load_runs_no_older_collection(self, cache):
+        key = "run-" + "1" * 40
+        assert cache.store(key, {"rows": [{"i": [i]} for i in range(60_000)]})
+        counts = [0, 0, 0]  # collections started, by generation
+
+        def record(phase, info):
+            if phase == "start":
+                counts[info["generation"]] += 1
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            payload = cache.load(key)
+        finally:
+            gc.callbacks.remove(record)
+        assert len(payload["rows"]) == 60_000
+        assert counts[0] > 0, "young collections must keep running"
+        assert counts[1:] == [0, 0], counts
+
+    def test_load_restores_state(self, cache, odd_thresholds):
+        cache.store("run-a", {"a": [1]})
+        assert cache.load("run-a") == {"a": [1]}
+        assert gc.get_threshold() == odd_thresholds and gc.isenabled()
+
+    def test_corrupt_entry_restores_state(self, cache, odd_thresholds):
+        cache.cache_dir.mkdir(parents=True)
+        cache._path("run-bad").write_bytes(b"\x80\x05garbage")
+        assert cache.load("run-bad") is None
+        assert not cache._path("run-bad").exists()
+        assert gc.get_threshold() == odd_thresholds and gc.isenabled()
+
+    def test_store_restores_state(self, cache, odd_thresholds):
+        assert cache.store("run-a", {"a": [1]})
+        assert gc.get_threshold() == odd_thresholds and gc.isenabled()
+
+    def test_unpicklable_store_restores_state(self, cache, odd_thresholds):
+        assert cache.store("run-a", {"f": lambda: 0}) is False
+        assert not list(cache.cache_dir.iterdir())  # temp file removed
+        assert gc.get_threshold() == odd_thresholds and gc.isenabled()
+
+    def test_exception_in_nested_blocks_restores_state(self, odd_thresholds):
+        never = (_GC_NEVER, _GC_NEVER)
+        with pytest.raises(RuntimeError):
+            with young_gc_only():
+                with young_gc_only():
+                    assert gc.get_threshold() == (691,) + never
+                # Only the outermost exit restores.
+                assert gc.get_threshold() == (691,) + never
+                raise RuntimeError("inside the outer block")
+        assert gc.get_threshold() == odd_thresholds and gc.isenabled()
+
+    def test_concurrent_loads_and_stores_restore_thresholds(self, cache):
+        """Threads entering and leaving blocks in any interleaving leave
+        the thresholds they found; a lost update would not."""
+        original = gc.get_threshold()
+        rounds, errors = 200, []
+
+        def worker(n):
+            try:
+                mine = RunCache(cache_dir=cache.cache_dir)
+                for i in range(rounds):
+                    key = f"run-t{n}-{i % 4}"
+                    assert mine.store(key, {"n": [n, i]})
+                    assert mine.load(key) == {"n": [n, i]}
+            except BaseException as exc:  # surfaced on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(n,)) for n in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive(), "a worker thread hung"
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert gc.get_threshold() == original and gc.isenabled()
 
 
 class TestShardInvariance:
