@@ -14,10 +14,11 @@ from repro.analysis.report import AnalysisReport
 from repro.fidelity import FIDELITY_LEVELS, validate_fidelity
 from repro.machines import (
     DEFAULT_MACHINE, MACHINES, MachineSpec, canonical_machine, machine_for_cpus,
+    resolve_machine,
 )
 from repro.sanitizers import check_enabled_by_env, deep_check_enabled_by_env
 from repro.sim.runcache import RunCache, load_or_run
-from repro.sim._session import TracedRun
+from repro.sim._session import Simulation, TracedRun, default_tuning
 from repro.workloads import (
     canonical_workload_args, parse_workload_args, workload_arg_names,
 )
@@ -104,8 +105,9 @@ class RunSettings:
         """The engine fields that differ from their defaults, as
         :class:`~repro.sim._session.Simulation` keyword arguments.
 
-        Run keys, exhibit keys, service jobs and the experiments that
-        build their own Simulation all read the engine settings here.
+        Run keys, exhibit keys, service jobs and
+        :meth:`ExperimentContext.private_run` all read the engine
+        settings here.
         Defaults are left out, which keeps every key made before a field
         existed byte-identical.
         """
@@ -359,9 +361,9 @@ class ExperimentContext:
             Tuple[str, RunSettings], Tuple[TracedRun, AnalysisReport]
         ] = {}
         self.exhibit_cache: Dict[str, "Exhibit"] = {}
-        # Checked runs the experiments simulate privately, kept so the
-        # CLI's --check report covers them too.
-        self.private_runs: List[TracedRun] = []
+        # The checked runs private_run built, each paired with no report,
+        # so the build's --check verdicts cover them too.
+        self.private_runs: List[Tuple[TracedRun, None]] = []
 
     def _settings_for(self, overrides: Dict) -> RunSettings:
         """This context's settings with ``overrides`` applied.
@@ -400,27 +402,53 @@ class ExperimentContext:
     def report(self, workload: str, **overrides) -> AnalysisReport:
         return self._entry(workload, overrides)[1]
 
-    def note_private_run(self, run: TracedRun) -> TracedRun:
-        """Register an experiment-private run for sanitizer reporting.
+    def private_run(
+        self,
+        workload: str,
+        *,
+        cpus: Optional[int] = None,
+        tuning: Optional[Mapping[str, Any]] = None,
+        horizon_ms: Optional[float] = None,
+        warmup_ms: Optional[float] = None,
+        **simulation,
+    ) -> TracedRun:
+        """Simulate a variant of the measured machine that no run key
+        names, at this context's settings, and never store it.
 
-        Only a checked run is kept: the ``--check`` report is the one
-        reader of :meth:`all_runs`, and holding an unchecked run for the
-        context's whole life would only pin its memory.
+        ``cpus`` puts the context's machine geometry at that CPU count;
+        ``tuning`` replaces fields of the tuning the run would otherwise
+        get (:func:`~repro.sim._session.default_tuning`); a
+        ``workload_args`` mapping merges over the context's; the window
+        defaults to the context's; every other keyword (``layout=``)
+        goes to :class:`~repro.sim._session.Simulation`. A checked run
+        is kept in :attr:`private_runs` for the ``--check`` verdicts;
+        an unchecked one would only pin its memory there.
         """
-        if run.simulation.checks is not None:
-            self.private_runs.append(run)
+        settings = self.settings
+        engine = settings.sim_kwargs()
+        if "workload_args" in simulation:
+            engine["workload_args"] = dict(
+                settings.workload_args, **simulation.pop("workload_args")
+            )
+        if cpus is not None:
+            # A custom geometry: Simulation then defaults to the single
+            # global run queue, as for any machine given by params.
+            engine["params"] = dataclasses.replace(
+                resolve_machine(engine.pop("machine", None)),
+                num_cpus=cpus, network_cpu=None,
+            )
+        if tuning is not None:
+            engine["tuning"] = dataclasses.replace(
+                default_tuning(workload, engine.get("machine")), **tuning
+            )
+        sim = Simulation(workload, seed=settings.seed, **engine, **simulation)
+        run = sim.run(
+            settings.horizon_ms if horizon_ms is None else horizon_ms,
+            warmup_ms=settings.warmup_ms if warmup_ms is None else warmup_ms,
+        )
+        if sim.checks is not None:
+            self.private_runs.append((run, None))
         return run
-
-    def all_runs(self) -> List[TracedRun]:
-        """Every distinct run behind this context's exhibits."""
-        seen = set()
-        out = []
-        for run in [run for run, _ in self._runs.values()] + self.private_runs:
-            if id(run) in seen:
-                continue
-            seen.add(id(run))
-            out.append(run)
-        return out
 
     # -- exhibit layer -------------------------------------------------
     def load_cached_exhibit(self, exhibit_id: str) -> Optional["Exhibit"]:

@@ -8,12 +8,9 @@ workload — with and without it.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.analysis.report import analyze_trace
 from repro.experiments._base import Exhibit, ExperimentContext
 from repro.experiments.derive import migration_misses
-from repro.sim._session import Simulation, default_tuning
 
 EXHIBIT_ID = "ablation-affinity"
 TITLE = "Cache-affinity scheduling vs the IRIX default (Multpgm)"
@@ -32,25 +29,13 @@ def _metrics(run, report) -> dict:
     }
 
 
-def _affinity_run(ctx: ExperimentContext):
-    """Multpgm at the context's settings with affinity scheduling on."""
-    settings = ctx.settings
-    tuning = dataclasses.replace(
-        default_tuning("multpgm", settings.machine), affinity_scheduling=True
-    )
-    sim = Simulation(
-        "multpgm", seed=settings.seed, tuning=tuning, **settings.sim_kwargs()
-    )
-    return ctx.note_private_run(
-        sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)
-    )
-
-
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
     default_run = ctx.run("multpgm")
     default = _metrics(default_run, ctx.report("multpgm"))
-    affinity_run = _affinity_run(ctx)
+    affinity_run = ctx.private_run(
+        "multpgm", tuning={"affinity_scheduling": True}
+    )
     affinity = _metrics(
         affinity_run, analyze_trace(affinity_run, keep_imiss_stream=False)
     )

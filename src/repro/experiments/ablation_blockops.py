@@ -9,12 +9,9 @@ each and compares the OS data-miss picture.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.analysis.report import analyze_trace
 from repro.experiments._base import Exhibit, ExperimentContext
 from repro.experiments.derive import blockop_miss_total, os_misses
-from repro.sim._session import Simulation, default_tuning
 
 EXHIBIT_ID = "ablation-blockops"
 TITLE = "Block operations: default vs cache bypass vs prefetch (Pmake)"
@@ -45,35 +42,20 @@ def _actual_stall_pct(processors) -> float:
     return 100.0 * stall / non_idle if non_idle else 0.0
 
 
-def _run_mode(ctx: ExperimentContext, cache_bypass: bool, prefetch: bool):
-    settings = ctx.settings
-    tuning = dataclasses.replace(
-        default_tuning("pmake", settings.machine),
-        blockop_cache_bypass=cache_bypass,
-        blockop_prefetch=prefetch,
-    )
-    sim = Simulation(
-        "pmake", seed=settings.seed, tuning=tuning, **settings.sim_kwargs()
-    )
-    run = ctx.note_private_run(
-        sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)
-    )
-    return run, analyze_trace(run, keep_imiss_stream=False)
-
-
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
     modes = (
         ("default", None),
-        ("cache_bypass", dict(cache_bypass=True, prefetch=False)),
-        ("prefetch", dict(cache_bypass=False, prefetch=True)),
+        ("cache_bypass", {"blockop_cache_bypass": True}),
+        ("prefetch", {"blockop_prefetch": True}),
     )
-    for label, overrides in modes:
-        if overrides is None:
+    for label, tuning in modes:
+        if tuning is None:
             run = ctx.run("pmake")
             report = ctx.report("pmake")
         else:
-            run, report = _run_mode(ctx, **overrides)
+            run = ctx.private_run("pmake", tuning=tuning)
+            report = analyze_trace(run, keep_imiss_stream=False)
         exhibit.add_check_coverage(run)
         analysis = report.analysis
         exhibit.add_row(

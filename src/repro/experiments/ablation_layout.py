@@ -13,7 +13,6 @@ from repro.analysis.report import analyze_trace
 from repro.common.types import MissClass, RefDomain
 from repro.experiments._base import Exhibit, ExperimentContext
 from repro.opt import optimize_layout, routine_heat_from_analysis
-from repro.sim._session import Simulation
 
 EXHIBIT_ID = "ablation-layout"
 TITLE = "Profile-driven kernel code layout vs the default image"
@@ -28,20 +27,13 @@ def _os_imisses(analysis, miss_class=None) -> int:
 
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
-    settings = ctx.settings
     base_run = ctx.run("pmake")
     base_report = ctx.report("pmake")
 
     heat = routine_heat_from_analysis(base_report.analysis)
     plan = optimize_layout(base_run.kernel.layout, heat)
 
-    sim = Simulation(
-        "pmake", seed=settings.seed, layout=plan.build(),
-        **settings.sim_kwargs(),
-    )
-    opt_run = ctx.note_private_run(
-        sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)
-    )
+    opt_run = ctx.private_run("pmake", layout=plan.build())
     opt_report = analyze_trace(opt_run, keep_imiss_stream=False)
 
     rows = (

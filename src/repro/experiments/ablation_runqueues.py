@@ -9,12 +9,8 @@ Runqlk contention (the Figure 11 metric) and migrations.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.analysis.lockstats import failed_acquires_per_ms
 from repro.experiments._base import Exhibit, ExperimentContext
-from repro.machines import resolve_machine
-from repro.sim._session import Simulation, default_tuning
 
 EXHIBIT_ID = "ablation-runqueues"
 TITLE = "Global vs distributed run queues on 8 CPUs (Multpgm)"
@@ -27,25 +23,13 @@ NUM_CLUSTERS = 4
 
 def _run(ctx: ExperimentContext, num_queues: int):
     settings = ctx.settings
-    tuning = dataclasses.replace(
-        default_tuning("multpgm"), num_run_queues=num_queues
-    )
-    # The context's machine geometry at this experiment's CPU count.
-    engine = settings.sim_kwargs()
-    params = dataclasses.replace(
-        resolve_machine(engine.pop("machine", None)),
-        num_cpus=NUM_CPUS, network_cpu=None,
-    )
-    sim = Simulation(
-        "multpgm", params=params, seed=settings.seed, tuning=tuning, **engine
-    )
-    run = ctx.note_private_run(
-        sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)
+    run = ctx.private_run(
+        "multpgm", cpus=NUM_CPUS, tuning={"num_run_queues": num_queues}
     )
     wall_ms = settings.warmup_ms + settings.horizon_ms
-    rates = failed_acquires_per_ms(sim.kernel, wall_ms)
-    runqlk = sim.kernel.locks.family_stats()["runqlk"]
-    sched = sim.kernel.scheduler
+    rates = failed_acquires_per_ms(run.kernel, wall_ms)
+    runqlk = run.kernel.locks.family_stats()["runqlk"]
+    sched = run.kernel.scheduler
     return run, {
         "runqlk failed acquires/ms": round(rates.get("runqlk", 0.0), 3),
         "runqlk failed %": round(runqlk.failed_pct, 2),

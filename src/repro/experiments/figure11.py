@@ -7,12 +7,10 @@ included — exactly the figure's Y axis).
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.lockstats import failed_acquires_per_ms
-from repro.experiments._base import Exhibit, ExperimentContext, RunSettings
-from repro.machines import resolve_machine
+from repro.experiments._base import Exhibit, ExperimentContext
 
 EXHIBIT_ID = "figure11"
 TITLE = "Failed lock acquires per ms vs number of CPUs (Multpgm)"
@@ -21,36 +19,26 @@ _COLUMNS = ("lock", "1cpu", "2cpu", "4cpu", "6cpu", "8cpu")
 
 CPU_COUNTS = (1, 2, 4, 6, 8)
 # Shorter window: five whole-machine runs are expensive.
-_SETTINGS = RunSettings(horizon_ms=40.0, warmup_ms=250.0, seed=7)
+_HORIZON_MS, _WARMUP_MS = 40.0, 250.0
 
 _LOCKS_SHOWN = ("runqlk", "memlock", "bfreelock", "calock")
 
 
 def contention_series(
-    seed: int = 7, cpu_counts=CPU_COUNTS,
-    horizon_ms: float = _SETTINGS.horizon_ms,
-    warmup_ms: float = _SETTINGS.warmup_ms,
-    ctx: Optional[ExperimentContext] = None,
+    ctx: ExperimentContext, cpu_counts=CPU_COUNTS,
+    horizon_ms: float = _HORIZON_MS, warmup_ms: float = _WARMUP_MS,
 ) -> Dict[str, List[float]]:
     """failed acquires/ms per lock family, one value per CPU count.
 
-    With a ``ctx``, every point runs at the context's engine settings
-    (its machine geometry at that point's CPU count) and registers its
-    run with the context.
+    Each point is the context's machine geometry at that CPU count,
+    at the context's engine settings and seed.
     """
-    from repro.sim._session import Simulation
-
-    engine = ctx.settings.sim_kwargs() if ctx is not None else {}
-    machine = resolve_machine(engine.pop("machine", None))
     series: Dict[str, List[float]] = {lock: [] for lock in _LOCKS_SHOWN}
     for ncpus in cpu_counts:
-        params = dataclasses.replace(machine, num_cpus=ncpus, network_cpu=None)
-        sim = Simulation("multpgm", params=params, seed=seed, **engine)
-        run = sim.run(horizon_ms, warmup_ms=warmup_ms)
-        if ctx is not None:
-            ctx.note_private_run(run)
-        wall_ms = (warmup_ms + horizon_ms)
-        rates = failed_acquires_per_ms(sim.kernel, wall_ms)
+        run = ctx.private_run(
+            "multpgm", cpus=ncpus, horizon_ms=horizon_ms, warmup_ms=warmup_ms
+        )
+        rates = failed_acquires_per_ms(run.kernel, warmup_ms + horizon_ms)
         for lock in _LOCKS_SHOWN:
             series[lock].append(rates.get(lock, 0.0))
     return series
@@ -58,7 +46,7 @@ def contention_series(
 
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
-    series = contention_series(seed=ctx.settings.seed, ctx=ctx)
+    series = contention_series(ctx)
     for lock, values in series.items():
         exhibit.add_row(lock, *[round(v, 3) for v in values])
     exhibit.note(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from repro.analysis.report import analyze_trace
 from repro.common.types import MissClass, RefDomain
 from repro.experiments._base import Exhibit, ExperimentContext
-from repro.sim._session import Simulation
 
 EXHIBIT_ID = "oracle-scale"
 TITLE = "Scaled vs standard-sized TP1: OS miss characteristics"
@@ -43,15 +42,9 @@ def _profile(report) -> tuple:
 
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
-    settings = ctx.settings
     # The scaled TP1 is the paper's measured Oracle: the shared base run.
     exhibit.add_row("scaled", *_profile(ctx.report("oracle")))
-    engine = settings.sim_kwargs()
-    engine["workload_args"] = dict(settings.workload_args, scale="standard")
-    sim = Simulation("oracle", seed=settings.seed, **engine)
-    run = ctx.note_private_run(
-        sim.run(settings.horizon_ms, warmup_ms=settings.warmup_ms)
-    )
+    run = ctx.private_run("oracle", workload_args={"scale": "standard"})
     exhibit.add_row(
         "standard", *_profile(analyze_trace(run, keep_imiss_stream=False))
     )

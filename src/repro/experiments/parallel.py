@@ -62,20 +62,22 @@ class ExhibitBuild(NamedTuple):
     verdicts: List[CheckVerdict]
 
 
-def check_verdicts(runs: Iterable) -> List[CheckVerdict]:
-    """The verdict of each checked run in ``runs``: its sanitizer report,
-    and the checker's bus accounting crosschecked against the monitor's
-    recorded transactions for the same run."""
+def check_verdicts(pairs: Iterable) -> List[CheckVerdict]:
+    """The verdict of each checked run in ``(run, report)`` ``pairs``: its
+    sanitizer report, and the checker's bus accounting crosschecked
+    against the monitor's recorded transactions in the run's analysis
+    report. Only a run paired with no report is analyzed here."""
     verdicts = []
-    for run in runs:
+    for run, report in pairs:
         if run.check_report is not None:
-            analysis = analyze_trace(run, keep_imiss_stream=False)
+            if report is None:
+                report = analyze_trace(run, keep_imiss_stream=False)
             lines = tuple(
                 f"  {run.workload_name}: {line}"
-                for line in analysis.crosscheck_lines()
+                for line in report.crosscheck_lines()
             )
             verdicts.append(
-                CheckVerdict(run.check_report, lines, analysis.crosscheck_ok())
+                CheckVerdict(run.check_report, lines, report.crosscheck_ok())
             )
     return verdicts
 
@@ -116,7 +118,10 @@ def build_exhibit(
     return ExhibitBuild(
         exhibit,
         ctx.cache.stats() if ctx.cache is not None else {},
-        check_verdicts(run for run in ctx.all_runs() if id(run) not in handed),
+        check_verdicts(
+            pair for pair in [*ctx._runs.values(), *ctx.private_runs]
+            if id(pair[0]) not in handed
+        ),
     )
 
 
@@ -212,7 +217,9 @@ def warm_base_runs(ctx: ExperimentContext, jobs: int) -> List[CheckVerdict]:
             ctx._runs[(workload, ctx.settings)] = (run, report)
             if ctx.cache is not None:
                 ctx.cache.add_stats(counters)
-    return check_verdicts(ctx.run(workload) for workload in missing)
+    return check_verdicts(
+        (ctx.run(workload), ctx.report(workload)) for workload in missing
+    )
 
 
 def run_exhibits(

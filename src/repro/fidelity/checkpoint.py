@@ -88,9 +88,13 @@ def capture(sim, now_cycles: int) -> EngineCheckpoint:
             "record_drivers=True (or a non-detailed fidelity)"
         )
     # Detach the capture-control attributes: the cache handle and any
-    # predicate callable are unpicklable or meaningless in the snapshot.
+    # predicate callable are unpicklable or meaningless in the snapshot,
+    # and the cache key would make the bytes depend on the source digest.
     detached = {}
-    for name in ("checkpoint_cache", "checkpoint_when", "captured_checkpoint"):
+    for name in (
+        "checkpoint_cache", "checkpoint_cache_key", "checkpoint_when",
+        "captured_checkpoint",
+    ):
         detached[name] = getattr(sim, name)
         setattr(sim, name, None)
     try:

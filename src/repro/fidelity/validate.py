@@ -7,7 +7,7 @@ cost zero instead of the occasional L1-miss/L2-hit refinement). This
 harness quantifies that drift the way simplified-model papers do: run
 the same (workload, horizon, warmup, seed) both ways and assert every
 Table 2 / 11 / 12 statistic from the mixed run's measured window lands
-within a configurable error bound of the detailed run.
+within a fixed error bound of the detailed run.
 
 Two kinds of bound:
 
@@ -18,9 +18,9 @@ Two kinds of bound:
   *symmetric* relative error ``|m - d| / max(d, m)``, checked only
   above a count floor. Windowed lock counts of a bursty workload are
   intrinsically noisy — two detailed runs at different seeds differ by
-  more than 100% on some families at short horizons — so the default
-  bounds are sized just above that intrinsic seed-to-seed variance;
-  longer horizons tighten the comparison.
+  more than 100% on some families at short horizons — so the bounds
+  are sized just above that intrinsic seed-to-seed variance; longer
+  horizons tighten the comparison.
 
 Windowing: lock and sync-bus counters are cumulative over the whole
 run, so the loop's warmup-boundary snapshot
@@ -60,6 +60,13 @@ _CLASSES = (
 _TABLE12_FAMILIES = (
     "memlock", "runqlk", "ifree", "dfbmaplk", "bfreelock", "calock",
 )
+
+# The error bounds: max share drift in percentage points, max symmetric
+# relative error on windowed counts, and the event count below which a
+# count is not compared (there everything is seed noise).
+SHARE_BOUND_PP = 18.0
+REL_BOUND = 0.75
+COUNT_FLOOR = 50
 
 
 @dataclass
@@ -201,9 +208,6 @@ def compare_runs(
     mixed_run,
     detailed_report,
     mixed_report,
-    share_bound_pp: float = 18.0,
-    rel_bound: float = 0.75,
-    count_floor: int = 50,
 ) -> List[StatCheck]:
     """Every Table 2/11/12 statistic, detailed vs mixed, with verdicts."""
     checks: List[StatCheck] = []
@@ -213,18 +217,18 @@ def compare_runs(
         checks.append(
             StatCheck(
                 table, name, round(d, 3), round(m, 3), error,
-                share_bound_pp, "share_pp", error <= share_bound_pp,
+                SHARE_BOUND_PP, "share_pp", error <= SHARE_BOUND_PP,
             )
         )
 
     def count(table: str, name: str, d: float, m: float) -> None:
-        if max(d, m) < count_floor:
-            return  # below the floor everything is seed noise
+        if max(d, m) < COUNT_FLOOR:
+            return
         error = abs(m - d) / max(d, m, 1.0)
         checks.append(
             StatCheck(
-                table, name, d, m, error, rel_bound, "relative",
-                error <= rel_bound,
+                table, name, d, m, error, REL_BOUND, "relative",
+                error <= REL_BOUND,
             )
         )
 
@@ -255,7 +259,7 @@ def compare_runs(
         m = mix_locks.get(family)
         if d is None or m is None:
             continue
-        if max(d["acquires"], m["acquires"]) < count_floor:
+        if max(d["acquires"], m["acquires"]) < COUNT_FLOOR:
             continue
         d_failed = 100.0 * d["failed"] / d["acquires"] if d["acquires"] else 0.0
         m_failed = 100.0 * m["failed"] / m["acquires"] if m["acquires"] else 0.0
@@ -275,9 +279,6 @@ def validate_workload(
     seed: int = 7,
     machine: str = "4d340",
     fast_forward: int = 0,
-    share_bound_pp: float = 18.0,
-    rel_bound: float = 0.75,
-    count_floor: int = 50,
 ) -> FidelityValidation:
     """Run ``workload`` detailed and mixed on one machine geometry,
     compare, and time all tiers."""
@@ -321,9 +322,7 @@ def validate_workload(
         fast_forwarded_refs=mixed_run.fast_forwarded_refs,
         seam_cycles=mixed_run.seam_cycles,
         checks=compare_runs(
-            detailed_run, mixed_run, detailed_report, mixed_report,
-            share_bound_pp=share_bound_pp, rel_bound=rel_bound,
-            count_floor=count_floor,
+            detailed_run, mixed_run, detailed_report, mixed_report
         ),
         detailed_seconds=detailed_seconds,
         mixed_cold_seconds=mixed_cold_seconds,
@@ -354,19 +353,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_settings_arguments(parser, names=_SETTINGS, base=base)
     parser.add_argument(
-        "--share-bound-pp", type=float, default=18.0,
-        help="max share drift in percentage points (default 18)",
-    )
-    parser.add_argument(
-        "--rel-bound", type=float, default=0.75,
-        help="max symmetric relative error on windowed counts "
-             "(default 0.75, sized above seed-to-seed variance)",
-    )
-    parser.add_argument(
-        "--count-floor", type=int, default=50,
-        help="skip count comparisons below this many events (default 50)",
-    )
-    parser.add_argument(
         "--min-speedup", type=float, default=0.0,
         help="fail unless the warm (checkpoint-restored) mixed run beats "
              "the detailed run by at least this factor (default 0 = off)",
@@ -384,9 +370,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=settings.seed,
             machine=settings.machine,
             fast_forward=settings.fast_forward,
-            share_bound_pp=args.share_bound_pp,
-            rel_bound=args.rel_bound,
-            count_floor=args.count_floor,
         )
         for workload in args.workloads
     ]

@@ -431,17 +431,16 @@ class Simulation:
     def _switch_to_detail(self) -> None:
         """The atomic→detailed seam of a mixed-fidelity run.
 
-        Aligns every CPU's clock (so the seam's trace-start state dump is
-        tick-monotone), stores the seam checkpoint if a cache is
-        attached, then flips the machine to full fidelity and starts the
-        monitor with the standard trace-start protocol.
+        Stores the seam checkpoint if a cache is attached, aligns every
+        CPU's clock (so the seam's trace-start state dump is
+        tick-monotone), then flips the machine to full fidelity and
+        starts the monitor with the standard trace-start protocol. The
+        capture comes first because a restored checkpoint runs this
+        method again: state captured after the alignment would be
+        aligned twice, and each ``set_mode`` bumps a user-mode CPU's
+        ``app_epoch``.
         """
         resume_at = max(p.cycles for p in self.processors)
-        for p in self.processors:
-            mode = p.mode
-            p.set_mode(Mode.IDLE)
-            p.advance_to(resume_at)
-            p.set_mode(mode)
         if self.checkpoint_cache is not None:
             from repro.fidelity.checkpoint import capture
 
@@ -451,6 +450,11 @@ class Simulation:
             )
             self.checkpoint_cache = None
             self.checkpoint_cache_key = None
+        for p in self.processors:
+            mode = p.mode
+            p.set_mode(Mode.IDLE)
+            p.advance_to(resume_at)
+            p.set_mode(mode)
         if not self.record_drivers:
             self.kernel.driver_log = None
         # The atomic tier keeps only the bus-visible levels (I-cache, L2)

@@ -102,7 +102,8 @@ class TestStrictContextOverrides:
         ctx = ExperimentContext(RunSettings(**_SHORT))
         run = ctx.run("pmake", check=True)
         assert run.check_report is not None
-        assert ctx.all_runs() == [run]
+        held = [(run, ctx.report("pmake", check=True))]
+        assert list(ctx._runs.values()) == held
 
 
 class TestDeprecationShims:

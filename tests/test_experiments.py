@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import api
 from repro.api import Exhibit, ExperimentContext, RunSettings
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 
@@ -138,56 +137,117 @@ def test_figure11_contention_grows():
     from repro.experiments.figure11 import contention_series
 
     series = contention_series(
-        seed=3, cpu_counts=(2, 6), horizon_ms=10.0, warmup_ms=25.0
+        ExperimentContext(RunSettings(seed=3)), cpu_counts=(2, 6),
+        horizon_ms=10.0, warmup_ms=25.0,
     )
     # Runqlk contention grows with CPU count (the paper's conclusion).
     assert series["runqlk"][1] >= series["runqlk"][0]
 
 
-# The exhibits that build their own Simulation instead of calling ctx.run.
+# The exhibits that simulate variants through ctx.private_run.
 _PRIVATE_RUN_IDS = (
     "ablation-layout", "ablation-blockops", "ablation-affinity",
     "ablation-runqueues", "oracle-scale",
 )
+# The tuning field each tuned variant ablates.
+_ABLATED_FIELDS = {
+    "ablation-blockops": {"blockop_cache_bypass", "blockop_prefetch"},
+    "ablation-affinity": {"affinity_scheduling"},
+    "ablation-runqueues": {"num_run_queues"},
+}
 
 
 @pytest.mark.slow
 def test_private_runs_honour_context_settings(monkeypatch):
     """Every Simulation the private-run exhibits build carries the
-    context's engine settings, not the defaults."""
-    from repro.experiments.figure11 import contention_series
-    from repro.sim._session import Simulation
+    context's engine settings, not the defaults: its tier, its machine
+    geometry (at the run's own CPU count for a ``cpus=`` point), and a
+    tuning that differs from ``default_tuning()`` only in the ablated
+    field."""
+    import dataclasses
 
-    tiers = []
+    from repro.experiments.figure11 import contention_series
+    from repro.machines import MACHINES
+    from repro.sim._session import Simulation, default_tuning
+
+    built = []
     original = Simulation.__init__
 
     def spy(self, *args, **kwargs):
         original(self, *args, **kwargs)
-        tiers.append(self.fidelity)
+        built.append((self, kwargs))
 
     monkeypatch.setattr(Simulation, "__init__", spy)
-    ctx = ExperimentContext(
-        RunSettings(horizon_ms=2.0, warmup_ms=6.0, seed=3, fidelity="mixed")
-    )
+    ctx = ExperimentContext(RunSettings(
+        horizon_ms=2.0, warmup_ms=6.0, seed=3, fidelity="mixed",
+        machine="cpus8",
+    ))
+    cpus8 = MACHINES["cpus8"].params
+
+    def check(exhibit_id):
+        assert built, exhibit_id
+        for sim, kwargs in built:
+            assert sim.fidelity == "mixed", exhibit_id
+            assert sim.params == dataclasses.replace(
+                cpus8, num_cpus=sim.params.num_cpus, network_cpu=None
+            ), exhibit_id
+            if "tuning" in kwargs:
+                base = default_tuning(sim.workload.name, "cpus8")
+                changed = {
+                    field.name for field in dataclasses.fields(base)
+                    if getattr(kwargs["tuning"], field.name)
+                    != getattr(base, field.name)
+                }
+                assert len(changed) == 1, (exhibit_id, changed)
+                assert changed <= _ABLATED_FIELDS[exhibit_id], exhibit_id
+        return [sim.params.num_cpus for sim, kwargs in built if "params" in kwargs]
+
     for exhibit_id in _PRIVATE_RUN_IDS:
-        tiers.clear()
+        built.clear()
         run_experiment(exhibit_id, ctx)
-        assert tiers and set(tiers) == {"mixed"}, exhibit_id
+        points = check(exhibit_id)
+        expected = [8, 8] if exhibit_id == "ablation-runqueues" else []
+        assert points == expected, exhibit_id
     # figure11's exhibit window is fixed at 40/250 ms; drive its sweep
     # directly at a short one.
-    tiers.clear()
-    contention_series(
-        seed=3, cpu_counts=(2,), horizon_ms=2.0, warmup_ms=6.0, ctx=ctx
-    )
-    assert tiers == ["mixed"]
+    built.clear()
+    contention_series(ctx, cpu_counts=(2, 4), horizon_ms=2.0, warmup_ms=6.0)
+    assert check("figure11") == [2, 4]
 
 
-def test_note_private_run_keeps_only_checked_runs(monkeypatch):
+def test_private_run_keeps_only_checked_runs(monkeypatch):
     monkeypatch.delenv("REPRO_CHECK", raising=False)
     window = dict(horizon_ms=1.0, warmup_ms=4.0, seed=3)
-    ctx = ExperimentContext(RunSettings(**window))
-    plain = api.run("pmake", **window)
-    checked = api.run("pmake", check=True, **window)
-    assert ctx.note_private_run(plain) is plain
-    assert ctx.note_private_run(checked) is checked
-    assert ctx.all_runs() == [checked]
+    plain = ExperimentContext(RunSettings(**window))
+    assert plain.private_run("pmake").check_report is None
+    assert plain.private_runs == []
+    ctx = ExperimentContext(RunSettings(check=True, **window))
+    checked = ctx.private_run("pmake")
+    assert checked.check_report is not None
+    assert ctx.private_runs == [(checked, None)]
+
+
+def test_only_base_module_builds_a_simulation():
+    """Experiments simulate through ExperimentContext (ctx.run, or
+    ctx.private_run for a variant no run key names), so each setting is
+    applied in one place: no other module imports or calls Simulation."""
+    import ast
+    from pathlib import Path
+
+    import repro.experiments
+
+    offenders = []
+    for path in sorted(Path(repro.experiments.__file__).parent.glob("*.py")):
+        if path.name == "_base.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                names = [getattr(func, "id", getattr(func, "attr", None))]
+            else:
+                continue
+            if "Simulation" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -29,6 +29,25 @@ def _trace(run) -> list:
     return list(run.trace.all_entries())
 
 
+def _app_epochs(run) -> list:
+    return [proc.app_epoch for proc in run.processors]
+
+
+def _truth(run) -> list:
+    """Each CPU's ground-truth miss-classification state."""
+    from repro.memsys.tracking import DATA, INSTR
+
+    truth = run.simulation.memsys.truth
+    return [
+        (
+            set(cpu_truth.ever_cached), dict(cpu_truth.evicted_by),
+            set(cpu_truth.invalidated),
+        )
+        for cpu in range(run.params.num_cpus)
+        for cpu_truth in (truth.cpu_truth(cpu, INSTR), truth.cpu_truth(cpu, DATA))
+    ]
+
+
 def _detailed_run(**kwargs):
     sim = Simulation("pmake", seed=SEED, **kwargs)
     return sim, sim.run(HORIZON, warmup_ms=WARMUP)
@@ -135,6 +154,14 @@ class TestMixedSeamCheckpoint:
         assert _trace(warm) == _trace(cold)
         assert warm.seam_cycles == cold.seam_cycles
         assert warm.fast_forwarded_refs == cold.fast_forwarded_refs
+        # The restored machine is the cold one, not just its trace: the
+        # seam's clock alignment ran once on each side.
+        assert _app_epochs(warm) == _app_epochs(cold)
+        assert warm.seam_state == cold.seam_state
+        assert _truth(warm) == _truth(cold)
+        # The checkpoint's bytes do not embed its own key.
+        [entry] = (tmp_path / "cache").glob("ckpt-*.pkl")
+        assert b"ckpt-" not in warm_cache.load(entry.stem)["checkpoint"].blob
 
     def test_in_memory_seam_checkpoint(self):
         store = _MemoryStore()
@@ -367,11 +394,12 @@ class TestCompareRuns:
         assert all(check.ok for check in checks)
         assert all(check.error == 0 for check in checks)
 
-    def test_out_of_bound_detected(self, pmake_run):
+    def test_out_of_bound_detected(self, pmake_run, monkeypatch):
+        from repro.fidelity import validate
+
+        # An impossible bound: every share fails.
+        monkeypatch.setattr(validate, "SHARE_BOUND_PP", -1.0)
         report = analyze_trace(pmake_run, keep_imiss_stream=False)
-        checks = compare_runs(
-            pmake_run, pmake_run, report, report,
-            share_bound_pp=-1.0,  # impossible bound: everything fails
-        )
+        checks = compare_runs(pmake_run, pmake_run, report, report)
         shares = [check for check in checks if check.kind == "share_pp"]
         assert shares and all(not check.ok for check in shares)

@@ -179,13 +179,25 @@ _CHECKED_EXHIBITS = ["table2", "ablation-runqueues"]
 
 def test_checked_verdicts_match_across_jobs(monkeypatch):
     """Serial or pooled, a checked build reports each run behind the
-    exhibits once: the three base runs and the ablation's two runs."""
+    exhibits once: the three base runs and the ablation's two runs.
+    Only the two private runs, which have no held report, are analyzed
+    for their verdicts."""
     monkeypatch.delenv("REPRO_CHECK", raising=False)
+    analyzed = []
+    analyze_trace = parallel.analyze_trace
+
+    def spy(run, **kwargs):
+        analyzed.append(run.workload_name)
+        return analyze_trace(run, **kwargs)
+
+    monkeypatch.setattr(parallel, "analyze_trace", spy)
     verdicts = {}
     for jobs in (1, 2):
         ctx = ExperimentContext(_CHECKED)
         built = parallel.run_exhibits(ctx, _CHECKED_EXHIBITS, jobs=jobs)
         verdicts[jobs] = _verdict_lines(built)
+        if jobs == 1:  # pool workers append to their own copy
+            assert analyzed == ["multpgm", "multpgm"]
         assert all(
             v.report.ok and v.crosscheck_ok
             for _, build in built for v in build.verdicts
@@ -214,6 +226,10 @@ def test_cli_check_exits_2_on_injected_mismatch(monkeypatch, capsys):
         report.check_counters["bus_reads"] += 1
         return report
 
+    # Everywhere a verdict's report is made: load_or_run (it imports
+    # analyze_trace at call time) for the held base runs, and
+    # check_verdicts for the private runs, which have none.
+    monkeypatch.setattr("repro.analysis.report.analyze_trace", corrupted)
     monkeypatch.setattr(parallel, "analyze_trace", corrupted)
     # `run all` over two exhibits, so --jobs 2 takes the pool path.
     monkeypatch.setattr(
@@ -225,9 +241,12 @@ def test_cli_check_exits_2_on_injected_mismatch(monkeypatch, capsys):
             "--horizon-ms", "2", "--warmup-ms", "5", "--seed", "5",
         ])
         assert rc == 2, jobs
-        err = capsys.readouterr().err
-        assert err.count("crosscheck data_reads") == 5
-        assert "MISMATCH" in err
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "crosscheck data_reads" in line
+        ]
+        assert len(lines) == 5, jobs
+        assert all("MISMATCH" in line for line in lines), lines
 
 
 def test_cli_parallel_output_matches_serial(tmp_path, capsys):
