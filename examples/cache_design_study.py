@@ -12,14 +12,13 @@ Run:  python examples/cache_design_study.py [workload]
 
 import sys
 
-from repro import analyze_trace, run_traced_workload
+from repro import analyze_trace, api
 from repro.analysis.sweeps import simulate_icache_sweep
 
 
 def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "pmake"
-    run = run_traced_workload(workload, horizon_ms=40.0, warmup_ms=300.0,
-                              seed=3)
+    run = api.run(workload, horizon_ms=40.0, warmup_ms=300.0, seed=3)
     analysis = analyze_trace(run).analysis
     stream = analysis.imiss_stream
     print(f"{workload}: replaying {len(stream):,} instruction misses "

@@ -14,15 +14,14 @@ Run:  python examples/os_profile.py [workload]
 
 import sys
 
-from repro import analyze_trace, run_traced_workload
+from repro import analyze_trace, api
 from repro.analysis.lockstats import lock_table_rows
 from repro.common.types import RefDomain
 
 
 def main() -> None:
     workload = sys.argv[1] if len(sys.argv) > 1 else "multpgm"
-    run = run_traced_workload(workload, horizon_ms=50.0, warmup_ms=350.0,
-                              seed=2)
+    run = api.run(workload, horizon_ms=50.0, warmup_ms=350.0, seed=2)
     report = analyze_trace(run)
     analysis = report.analysis
     os_total = analysis.total_misses(RefDomain.OS)

@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py [workload] [horizon_ms]
 
 import sys
 
-from repro import analyze_trace, run_traced_workload
+from repro import analyze_trace, api
 from repro.common.types import RefDomain
 
 
@@ -22,8 +22,7 @@ def main() -> None:
 
     print(f"tracing {workload} for {horizon_ms:.0f} ms "
           "(after 300 ms of warmup) ...")
-    run = run_traced_workload(workload, horizon_ms=horizon_ms,
-                              warmup_ms=300.0, seed=1)
+    run = api.run(workload, horizon_ms=horizon_ms, warmup_ms=300.0, seed=1)
     print(f"recorded {len(run.trace):,} bus transactions in "
           f"{len(run.trace.segments)} segment(s)")
 

@@ -32,7 +32,7 @@ Quickstart (the stable entry point is :mod:`repro.api`)::
 """
 
 from repro.common.params import MachineParams
-from repro.sim._session import Simulation, TracedRun, run_traced_workload
+from repro.sim._session import Simulation, TracedRun
 from repro.analysis.report import AnalysisReport, analyze_trace
 from repro.kernel.kernel import KernelTuning
 from repro.workloads import make_workload
@@ -44,7 +44,6 @@ __all__ = [
     "KernelTuning",
     "Simulation",
     "TracedRun",
-    "run_traced_workload",
     "make_workload",
     "AnalysisReport",
     "analyze_trace",

@@ -27,7 +27,6 @@ from repro.analysis.lockstats import (
     lock_table_rows,
     sync_stall_summary,
 )
-from repro.analysis.model import OsActivityModel, PhaseModel, validate_model
 from repro.analysis.charts import bar_chart, profile_chart, series_chart
 
 __all__ = [
@@ -46,9 +45,6 @@ __all__ = [
     "failed_acquires_per_ms",
     "lock_table_rows",
     "sync_stall_summary",
-    "OsActivityModel",
-    "PhaseModel",
-    "validate_model",
     "bar_chart",
     "profile_chart",
     "series_chart",

@@ -14,6 +14,10 @@ from typing import Dict, List, Optional
 
 from repro.common.types import Mode
 
+#: Figure 11's lock families, the four Multpgm contends most;
+#: ``figure-scaling`` prints the same cells per machine.
+CONTENDED_LOCKS = ("runqlk", "memlock", "bfreelock", "calock")
+
 
 @dataclass
 class LockRow:
@@ -102,3 +106,12 @@ def failed_acquires_per_ms(kernel, wall_ms: float) -> Dict[str, float]:
         for family, stats in kernel.locks.family_stats().items()
         if stats.acquires > 0
     }
+
+
+def contention_cells(
+    kernel, wall_ms: float, locks=CONTENDED_LOCKS
+) -> List[float]:
+    """:func:`failed_acquires_per_ms` of each of ``locks``, rounded to
+    the three places an exhibit cell shows (0 for a lock never taken)."""
+    rates = failed_acquires_per_ms(kernel, wall_ms)
+    return [round(rates.get(lock, 0.0), 3) for lock in locks]

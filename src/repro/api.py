@@ -66,7 +66,7 @@ from repro.service import (
     ServiceConfig,
     serve,
 )
-from repro.sim._session import Simulation, TracedRun, run_traced_workload
+from repro.sim._session import Simulation, TracedRun
 from repro.sim.runcache import RunCache
 from repro.workloads import Workload, make_workload
 
@@ -101,21 +101,18 @@ __all__ = [
     "report",
     "resolve_machine",
     "run",
-    "run_traced_workload",
     "serve",
     "validate_workload",
 ]
 
 # Keywords run()/report() accept: the RunSettings fields (horizon_ms,
 # warmup_ms, seed, check, ...) plus the Simulation constructor's keyword
-# parameters (tuning, layout, ...) except ``params``, which ``machine``
-# replaces. Computed once at import.
+# parameters (tuning, layout, ...). Computed once at import.
 _SETTINGS_FIELDS = frozenset(RunSettings.__dataclass_fields__)
 _SIM_KWARGS = frozenset(
     name
     for name, p in inspect.signature(Simulation.__init__).parameters.items()
-    if name not in ("self", "workload", "seed", "params")
-    and p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+    if p.kind == p.KEYWORD_ONLY
 )
 _VALID_KWARGS = _SETTINGS_FIELDS | _SIM_KWARGS
 
@@ -150,17 +147,12 @@ def run(
     ``dread_block``/``dwrite_block`` sweeps to kernel structures.
     """
     _validate(settings)
-    if machine is not None:
-        settings["machine"] = machine
     defaults = RunSettings()
     horizon = settings.pop("horizon_ms", defaults.horizon_ms)
     warmup = settings.pop("warmup_ms", defaults.warmup_ms)
     seed = settings.pop("seed", defaults.seed)
-    if check:
-        settings["check"] = check
-    return run_traced_workload(
-        workload, horizon_ms=horizon, warmup_ms=warmup, seed=seed, **settings
-    )
+    sim = Simulation(workload, machine=machine, seed=seed, check=check, **settings)
+    return sim.run(horizon, warmup_ms=warmup)
 
 
 def report(

@@ -42,8 +42,9 @@ class RunSettings:
     80 ms of traced window after 500 ms of warmup reaches the workloads'
     steady state (all binaries resident, buffer cache warm, scheduler
     mixing) while keeping a full experiment sweep to minutes of host
-    time. Individual experiments override where they need to (e.g.
-    Figure 11 sweeps CPU counts with a shorter window).
+    time. Individual experiments override where they need to: the
+    sweeps that simulate one whole machine per point (Figure 11,
+    ``figure-scaling``, ``figure-skew``) run at :meth:`sweep_window`.
 
     This is the one place run settings are resolved: construction
     validates and canonicalizes the engine fields and folds
@@ -415,9 +416,10 @@ class ExperimentContext:
         """Simulate a variant of the measured machine that no run key
         names, at this context's settings, and never store it.
 
-        ``cpus`` puts the context's machine geometry at that CPU count;
-        ``tuning`` replaces fields of the tuning the run would otherwise
-        get (:func:`~repro.sim._session.default_tuning`); a
+        ``cpus`` puts the context's machine geometry at that CPU count
+        (a geometry equal to a preset is that preset, run queues
+        included); ``tuning`` replaces fields of the tuning the run
+        would otherwise get (:func:`~repro.sim._session.default_tuning`); a
         ``workload_args`` mapping merges over the context's; the window
         defaults to the context's; every other keyword (``layout=``)
         goes to :class:`~repro.sim._session.Simulation`. A checked run
@@ -431,11 +433,8 @@ class ExperimentContext:
                 settings.workload_args, **simulation.pop("workload_args")
             )
         if cpus is not None:
-            # A custom geometry: Simulation then defaults to the single
-            # global run queue, as for any machine given by params.
-            engine["params"] = dataclasses.replace(
-                resolve_machine(engine.pop("machine", None)),
-                num_cpus=cpus, network_cpu=None,
+            engine["machine"] = dataclasses.replace(
+                resolve_machine(settings.machine), num_cpus=cpus, network_cpu=None
             )
         if tuning is not None:
             engine["tuning"] = dataclasses.replace(

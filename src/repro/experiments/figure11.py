@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.analysis.lockstats import failed_acquires_per_ms
+from repro.analysis.lockstats import CONTENDED_LOCKS, contention_cells
 from repro.experiments._base import Exhibit, ExperimentContext
 
 EXHIBIT_ID = "figure11"
@@ -18,37 +18,33 @@ TITLE = "Failed lock acquires per ms vs number of CPUs (Multpgm)"
 _COLUMNS = ("lock", "1cpu", "2cpu", "4cpu", "6cpu", "8cpu")
 
 CPU_COUNTS = (1, 2, 4, 6, 8)
-# Shorter window: five whole-machine runs are expensive.
-_HORIZON_MS, _WARMUP_MS = 40.0, 250.0
-
-_LOCKS_SHOWN = ("runqlk", "memlock", "bfreelock", "calock")
 
 
 def contention_series(
-    ctx: ExperimentContext, cpu_counts=CPU_COUNTS,
-    horizon_ms: float = _HORIZON_MS, warmup_ms: float = _WARMUP_MS,
+    ctx: ExperimentContext, cpu_counts=CPU_COUNTS
 ) -> Dict[str, List[float]]:
-    """failed acquires/ms per lock family, one value per CPU count.
+    """failed acquires/ms per lock family, one cell per CPU count.
 
-    Each point is the context's machine geometry at that CPU count,
-    at the context's engine settings and seed.
+    Each point is the context's machine geometry at that CPU count (a
+    geometry equal to a preset is that preset, as in ``figure-scaling``),
+    at the context's engine settings, seed and sweep window.
     """
-    series: Dict[str, List[float]] = {lock: [] for lock in _LOCKS_SHOWN}
+    horizon, warmup = ctx.settings.sweep_window()
+    series: Dict[str, List[float]] = {lock: [] for lock in CONTENDED_LOCKS}
     for ncpus in cpu_counts:
         run = ctx.private_run(
-            "multpgm", cpus=ncpus, horizon_ms=horizon_ms, warmup_ms=warmup_ms
+            "multpgm", cpus=ncpus, horizon_ms=horizon, warmup_ms=warmup
         )
-        rates = failed_acquires_per_ms(run.kernel, warmup_ms + horizon_ms)
-        for lock in _LOCKS_SHOWN:
-            series[lock].append(rates.get(lock, 0.0))
+        cells = contention_cells(run.kernel, warmup + horizon)
+        for lock, cell in zip(CONTENDED_LOCKS, cells):
+            series[lock].append(cell)
     return series
 
 
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
-    series = contention_series(ctx)
-    for lock, values in series.items():
-        exhibit.add_row(lock, *[round(v, 3) for v in values])
+    for lock, cells in contention_series(ctx).items():
+        exhibit.add_row(lock, *cells)
     exhibit.note(
         "paper: contention rises with CPU count and Runqlk rises fastest — "
         "'contention for Runqlk will be significant for machines with more "

@@ -23,7 +23,7 @@ each tuned point keys separately in the cache.
 
 from __future__ import annotations
 
-from repro.analysis.lockstats import failed_acquires_per_ms
+from repro.analysis.lockstats import contention_cells
 from repro.common.types import MissClass, RefDomain
 from repro.experiments._base import Exhibit, ExperimentContext
 from repro.workloads import canonical_workload_args, workload_arg_names
@@ -56,14 +56,13 @@ def _row(ctx, exhibit, workload, skew, args, horizon, warmup) -> None:
     lookups = bcache.hits + bcache.misses
     hit_pct = 100.0 * bcache.hits / lookups if lookups else 0.0
     per_class = report.analysis.class_counts(RefDomain.OS)
-    rates = failed_acquires_per_ms(run.kernel, warmup + horizon)
     exhibit.add_row(
         workload,
         f"{skew:g}",  # string: Exhibit._fmt would render 0.99 as "1.0"
         round(hit_pct, 1),
         round(per_class[MissClass.COLD] / horizon, 3),
         round(per_class[MissClass.SHARING] / horizon, 3),
-        *[round(rates.get(lock, 0.0), 3) for lock in _LOCKS_SHOWN],
+        *contention_cells(run.kernel, warmup + horizon, _LOCKS_SHOWN),
         round(report.os_miss_fraction_pct, 1),
     )
 

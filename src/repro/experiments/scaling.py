@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.analysis.lockstats import failed_acquires_per_ms
+from repro.analysis.lockstats import CONTENDED_LOCKS, contention_cells
 from repro.common.types import MissClass, RefDomain
 from repro.experiments._base import Exhibit, ExperimentContext
 from repro.machines import DEFAULT_MACHINE, LADDER, MACHINES
@@ -32,7 +32,6 @@ _COLUMNS = (
 )
 
 WORKLOAD = "multpgm"
-_LOCKS_SHOWN = ("runqlk", "memlock", "bfreelock", "calock")
 
 # The ladder is swept up to this preset by default; pick a machine
 # (``--machine cpus64`` caps the ladder there) to change the swept
@@ -61,14 +60,13 @@ def build(ctx: ExperimentContext) -> Exhibit:
             WORKLOAD, machine=name, horizon_ms=horizon, warmup_ms=warmup
         )
         exhibit.add_check_coverage(run)
-        rates = failed_acquires_per_ms(run.kernel, warmup + horizon)
         sharing = report.analysis.class_counts(RefDomain.OS)[MissClass.SHARING]
         preset = MACHINES[name]
         exhibit.add_row(
             name,
             preset.params.num_cpus,
             preset.run_queues,
-            *[round(rates.get(lock, 0.0), 3) for lock in _LOCKS_SHOWN],
+            *contention_cells(run.kernel, warmup + horizon),
             round(sharing / horizon, 3),
             round(report.os_miss_fraction_pct, 1),
         )
@@ -90,7 +88,7 @@ def chart(ctx: ExperimentContext) -> str:
     cpus = [int(row[1]) for row in exhibit.rows]
     series = {
         lock: [float(row[3 + i]) for row in exhibit.rows]
-        for i, lock in enumerate(_LOCKS_SHOWN)
+        for i, lock in enumerate(CONTENDED_LOCKS)
     }
     series["pingpong"] = [float(row[7]) for row in exhibit.rows]
     return series_chart(

@@ -129,7 +129,7 @@ def _reattach_drivers(sim) -> None:
     if log is None:
         raise ValueError("checkpoint has no driver log; cannot replay drivers")
     scratch = Simulation(
-        sim.workload.name, params=sim.params, seed=sim.seed, trace=False,
+        sim.workload.name, machine=sim.params, seed=sim.seed, trace=False,
         workload_args=getattr(sim, "workload_args", None),
     )
     _graft_images(scratch.workload, sim.kernel.images)

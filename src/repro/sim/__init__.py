@@ -1,12 +1,11 @@
 """Simulation sessions: machine + kernel + workload + monitor."""
 
-from repro.sim._session import Simulation, TracedRun, run_traced_workload
+from repro.sim._session import Simulation, TracedRun
 from repro.sim.config import CALIBRATIONS, WorkloadCalibration
 
 __all__ = [
     "Simulation",
     "TracedRun",
-    "run_traced_workload",
     "CALIBRATIONS",
     "WorkloadCalibration",
 ]

@@ -6,9 +6,9 @@ interleaved slices ordered by their local clocks; clock interrupts, disk
 completions, terminal input and the master tracer's buffer checks are
 delivered at slice boundaries.
 
-:func:`run_traced_workload` is the one-call experiment entry point; it
-returns a :class:`TracedRun` bundling the recorded trace with the
-machine handles the analysis pipeline needs.
+``Simulation(workload, ...).run(horizon_ms, warmup_ms=...)`` returns a
+:class:`TracedRun` bundling the recorded trace with the machine handles
+the analysis pipeline needs; :func:`repro.api.run` is the one-call form.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ class Simulation:
     def __init__(
         self,
         workload: Union[str, Workload],
-        params: Optional[MachineParams] = None,
+        *,
+        machine: MachineSpec = None,
         seed: int = 0,
         trace: bool = True,
         tuning: Optional[KernelTuning] = None,
@@ -156,21 +157,15 @@ class Simulation:
         fidelity: str = "detailed",
         fast_forward: int = 0,
         record_drivers: bool = False,
-        machine=None,
         workload_args=None,
     ):
-        # ``machine`` (a preset name from repro.machines, or a full
-        # MachineParams) is the public way to pick a geometry; bare
-        # ``params=`` remains for custom one-off machines. A preset also
-        # carries its recommended run-queue count (one queue per 4-CPU
+        # ``machine`` is a preset name from repro.machines or a full
+        # MachineParams; a geometry equal to a preset is that preset.
+        # A preset also carries its run-queue count (one queue per 4-CPU
         # cluster, Section 6), folded into the default tuning below —
         # explicit ``tuning=`` always wins.
-        if machine is not None:
-            if params is not None:
-                raise TypeError("pass machine= or params=, not both")
-            machine = canonical_machine(machine)
-            params = resolve_machine(machine)
-        self.params = params if params is not None else MachineParams()
+        machine = canonical_machine(machine)
+        self.params = resolve_machine(machine)
         self.seed = seed
         self.fidelity = validate_fidelity(fidelity)
         if fast_forward < 0:
@@ -655,16 +650,3 @@ class Simulation:
             net_proc, HighLevelOp.INTERRUPT, save_frame=False
         ):
             self.kernel.interrupts.network(net_proc)
-
-
-def run_traced_workload(
-    workload: Union[str, Workload],
-    horizon_ms: float = 50.0,
-    seed: int = 0,
-    params: Optional[MachineParams] = None,
-    warmup_ms: float = 120.0,
-    **kwargs,
-) -> TracedRun:
-    """Build a machine, run a workload under the monitor, return the run."""
-    sim = Simulation(workload, params=params, seed=seed, **kwargs)
-    return sim.run(horizon_ms, warmup_ms=warmup_ms)

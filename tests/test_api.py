@@ -120,9 +120,12 @@ class TestDeprecationShims:
             importlib.import_module("repro.experiments.base")
 
     def test_shimmed_run_matches_facade_run(self):
-        """The old path is gone; the facade is the one way in."""
+        """The old paths are gone; the facade is the one way in."""
+        import repro
+
         with pytest.raises(ModuleNotFoundError):
             from repro.sim.session import run_traced_workload  # noqa: F401
+        assert not hasattr(repro, "run_traced_workload")
         run = api.run("pmake", **_SHORT)
         assert run.workload_name == "pmake"
 

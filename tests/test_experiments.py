@@ -9,12 +9,9 @@ from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experime
 # simulations, so the whole module stays fast.
 _SMALL = RunSettings(horizon_ms=12.0, warmup_ms=30.0, seed=3)
 
-# figure11 and the ablations run their own extra simulations; the
-# cheap ones are exercised here, the multi-machine ones separately.
-_FAST_IDS = [
-    e for e in EXPERIMENTS
-    if e != "figure11" and not e.startswith("ablation-")
-]
+# The ablations run their own extra simulations; the cheap ones are
+# exercised here, the multi-machine ones separately.
+_FAST_IDS = [e for e in EXPERIMENTS if not e.startswith("ablation-")]
 _ABLATION_IDS = [e for e in EXPERIMENTS if e.startswith("ablation-")]
 
 
@@ -55,6 +52,19 @@ def test_exhibit_builds_and_renders(ctx, exhibit_id):
     # Every row matches the declared column count.
     for row in exhibit.rows:
         assert len(row) == len(exhibit.columns)
+
+
+def test_exhibit_pins_cover_every_exhibit():
+    """benchmarks/exhibit_pins.json pins every registered exhibit at
+    each setting it is rebuilt at."""
+    import json
+    from pathlib import Path
+
+    pins = Path(__file__).resolve().parent.parent / "benchmarks" / "exhibit_pins.json"
+    digests = json.loads(pins.read_text())["digests"]
+    assert sorted(digests) == ["cpus8", "default", "mixed"]
+    for setting, by_exhibit in digests.items():
+        assert sorted(by_exhibit) == sorted(EXPERIMENTS), setting
 
 
 class TestExhibitContent:
@@ -137,17 +147,35 @@ def test_figure11_contention_grows():
     from repro.experiments.figure11 import contention_series
 
     series = contention_series(
-        ExperimentContext(RunSettings(seed=3)), cpu_counts=(2, 6),
-        horizon_ms=10.0, warmup_ms=25.0,
+        ExperimentContext(RunSettings(horizon_ms=10.0, warmup_ms=25.0, seed=3)),
+        cpu_counts=(2, 6),
     )
     # Runqlk contention grows with CPU count (the paper's conclusion).
     assert series["runqlk"][1] >= series["runqlk"][0]
 
 
+@pytest.mark.parametrize("machine, column", [("4d340", "4cpu"), ("cpus8", "8cpu")])
+def test_figure11_point_is_the_figure_scaling_run(machine, column):
+    """A figure11 point whose geometry is a preset is figure-scaling's
+    run of that preset: same window, same run queues, same cells."""
+    from repro.analysis.lockstats import CONTENDED_LOCKS
+
+    ctx = ExperimentContext(RunSettings(horizon_ms=2.0, warmup_ms=5.0, machine=machine))
+    figure11 = run_experiment("figure11", ctx)
+    scaling = run_experiment("figure-scaling", ctx)
+    assert [row[0] for row in figure11.rows] == list(CONTENDED_LOCKS)
+    cells = [row[figure11.columns.index(column)] for row in figure11.rows]
+    preset_row = scaling.row_dict()[machine]
+    assert any(cells)
+    assert cells == [
+        preset_row[scaling.columns.index(f"{lock}/ms")] for lock in CONTENDED_LOCKS
+    ]
+
+
 # The exhibits that simulate variants through ctx.private_run.
 _PRIVATE_RUN_IDS = (
     "ablation-layout", "ablation-blockops", "ablation-affinity",
-    "ablation-runqueues", "oracle-scale",
+    "ablation-runqueues", "oracle-scale", "figure11",
 )
 # The tuning field each tuned variant ablates.
 _ABLATED_FIELDS = {
@@ -166,7 +194,7 @@ def test_private_runs_honour_context_settings(monkeypatch):
     field."""
     import dataclasses
 
-    from repro.experiments.figure11 import contention_series
+    from repro.experiments.figure11 import CPU_COUNTS
     from repro.machines import MACHINES
     from repro.sim._session import Simulation, default_tuning
 
@@ -200,19 +228,18 @@ def test_private_runs_honour_context_settings(monkeypatch):
                 }
                 assert len(changed) == 1, (exhibit_id, changed)
                 assert changed <= _ABLATED_FIELDS[exhibit_id], exhibit_id
-        return [sim.params.num_cpus for sim, kwargs in built if "params" in kwargs]
+        return [sim.params.num_cpus for sim, kwargs in built]
 
     for exhibit_id in _PRIVATE_RUN_IDS:
         built.clear()
         run_experiment(exhibit_id, ctx)
         points = check(exhibit_id)
-        expected = [8, 8] if exhibit_id == "ablation-runqueues" else []
-        assert points == expected, exhibit_id
-    # figure11's exhibit window is fixed at 40/250 ms; drive its sweep
-    # directly at a short one.
-    built.clear()
-    contention_series(ctx, cpu_counts=(2, 4), horizon_ms=2.0, warmup_ms=6.0)
-    assert check("figure11") == [2, 4]
+        # figure11's cpus= points span its CPU counts; every other run
+        # (ablation-runqueues' cpus=8 points too) is the 8-CPU context's.
+        if exhibit_id == "figure11":
+            assert points == list(CPU_COUNTS)
+        else:
+            assert set(points) == {8}, exhibit_id
 
 
 def test_private_run_keeps_only_checked_runs(monkeypatch):

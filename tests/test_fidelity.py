@@ -33,6 +33,10 @@ def _app_epochs(run) -> list:
     return [proc.app_epoch for proc in run.processors]
 
 
+def _lock_stats(run) -> dict:
+    return {lock.name: lock.stats for lock in run.kernel.locks.all_locks()}
+
+
 def _truth(run) -> list:
     """Each CPU's ground-truth miss-classification state."""
     from repro.memsys.tracking import DATA, INSTR
@@ -162,6 +166,27 @@ class TestMixedSeamCheckpoint:
         # The checkpoint's bytes do not embed its own key.
         [entry] = (tmp_path / "cache").glob("ckpt-*.pkl")
         assert b"ckpt-" not in warm_cache.load(entry.stem)["checkpoint"].blob
+
+    @pytest.mark.usefixtures("cache_env")
+    @pytest.mark.parametrize("workload", ["multpgm", "pmake"])
+    def test_seam_restore_on_a_multi_queue_preset(self, tmp_path, workload):
+        """A restored cpus8 run (two run queues) equals its cold run: the
+        driver replay rebuilds the preset machine, not a one-queue copy."""
+        sim_kwargs = {"fidelity": "mixed", "machine": "cpus8"}
+        cache = RunCache(cache_dir=tmp_path / "cache")
+        cold, _ = load_or_run(cache, workload, HORIZON, WARMUP, SEED, sim_kwargs)
+        cache._path(
+            cache.run_key(workload, HORIZON, WARMUP, SEED, sim_kwargs)
+        ).unlink()
+        warm, _ = load_or_run(
+            RunCache(cache_dir=tmp_path / "cache"), workload, HORIZON, WARMUP,
+            SEED, sim_kwargs,
+        )
+        assert warm is not cold and warm.seam_cycles == cold.seam_cycles
+        assert warm.kernel.scheduler.num_queues == 2
+        assert _trace(warm) == _trace(cold)
+        assert _app_epochs(warm) == _app_epochs(cold)
+        assert _lock_stats(warm) == _lock_stats(cold)
 
     def test_in_memory_seam_checkpoint(self):
         store = _MemoryStore()

@@ -197,8 +197,12 @@ class TestSimulationSelection:
         assert sim.kernel.scheduler.num_queues == 1
 
     def test_machine_and_params_conflict(self):
-        with pytest.raises(TypeError, match="not both"):
-            Simulation("multpgm", machine="cpus8", params=MachineParams())
+        """A geometry has one spelling, machine=; every argument after
+        the workload is keyword-only."""
+        with pytest.raises(TypeError, match="params"):
+            Simulation("multpgm", params=MachineParams())
+        with pytest.raises(TypeError, match="positional"):
+            Simulation("multpgm", MachineParams())
 
     def test_checked_run_sizes_sanitizers(self):
         """Per-CPU sanitizer state follows the machine, not a baked-in 4."""

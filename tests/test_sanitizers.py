@@ -17,7 +17,8 @@ from repro.kernel.process import ProcState
 from repro.kernel.structures import StructName
 from repro.sanitizers import CheckRegistry
 from repro.sanitizers.races import STRUCT_PROTECTION
-from repro.api import Simulation, run_traced_workload
+from repro import api
+from repro.api import Simulation
 from repro.sim.usermode import LIBRARY_SPINS, SPIN_CYCLES, UserLock
 from repro.workloads import actions as A
 from tests.test_kernel_core import make_kernel
@@ -763,8 +764,8 @@ class TestLocalityUnderChecking:
 class TestCheckedRuns:
     @pytest.mark.parametrize("workload", ["pmake", "multpgm", "oracle"])
     def test_short_run_is_clean(self, workload):
-        run = run_traced_workload(
-            workload=workload, horizon_ms=3.0, warmup_ms=20.0, seed=5,
+        run = api.run(
+            workload, horizon_ms=3.0, warmup_ms=20.0, seed=5,
             check=True,
         )
         report = run.check_report
@@ -789,14 +790,14 @@ class TestCheckedRuns:
         assert sim.checks is not None
 
     def test_unchecked_run_has_no_report(self):
-        run = run_traced_workload(
-            workload="pmake", horizon_ms=1.0, warmup_ms=5.0, seed=5
+        run = api.run(
+            "pmake", horizon_ms=1.0, warmup_ms=5.0, seed=5
         )
         assert run.check_report is None
 
     def test_checked_run_pickles_with_report(self):
-        run = run_traced_workload(
-            workload="pmake", horizon_ms=1.0, warmup_ms=5.0, seed=5,
+        run = api.run(
+            "pmake", horizon_ms=1.0, warmup_ms=5.0, seed=5,
             check=True,
         )
         clone = pickle.loads(pickle.dumps(run))
@@ -805,8 +806,8 @@ class TestCheckedRuns:
         assert report.counters == run.check_report.counters
 
     def test_summary_names_workload(self):
-        run = run_traced_workload(
-            workload="pmake", horizon_ms=1.0, warmup_ms=5.0, seed=5,
+        run = api.run(
+            "pmake", horizon_ms=1.0, warmup_ms=5.0, seed=5,
             check=True,
         )
         assert "pmake" in run.check_report.summary()
@@ -825,8 +826,8 @@ class TestCrosscheck:
     def test_monitor_matches_checker_exactly(self, workload):
         from repro.analysis.report import analyze_trace
 
-        run = run_traced_workload(
-            workload=workload, horizon_ms=3.0, warmup_ms=20.0, seed=5,
+        run = api.run(
+            workload, horizon_ms=3.0, warmup_ms=20.0, seed=5,
             check=True,
         )
         report = analyze_trace(run)
@@ -839,8 +840,8 @@ class TestCrosscheck:
         assert report.crosscheck_ok()
 
     def test_write_transactions_subset_of_writes(self):
-        run = run_traced_workload(
-            workload="pmake", horizon_ms=2.0, warmup_ms=10.0, seed=5,
+        run = api.run(
+            "pmake", horizon_ms=2.0, warmup_ms=10.0, seed=5,
             check=True,
         )
         counters = run.check_report.counters
@@ -849,8 +850,8 @@ class TestCrosscheck:
     def test_unchecked_run_has_no_crosscheck(self):
         from repro.analysis.report import analyze_trace
 
-        run = run_traced_workload(
-            workload="pmake", horizon_ms=1.0, warmup_ms=5.0, seed=5
+        run = api.run(
+            "pmake", horizon_ms=1.0, warmup_ms=5.0, seed=5
         )
         report = analyze_trace(run)
         assert report.check_counters is None
@@ -861,8 +862,8 @@ class TestCrosscheck:
     def test_crosscheck_lines_flag_mismatch(self):
         from repro.analysis.report import analyze_trace
 
-        run = run_traced_workload(
-            workload="pmake", horizon_ms=1.0, warmup_ms=5.0, seed=5,
+        run = api.run(
+            "pmake", horizon_ms=1.0, warmup_ms=5.0, seed=5,
             check=True,
         )
         report = analyze_trace(run)

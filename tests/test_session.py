@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.params import MachineParams
 from repro.common.types import Mode
-from repro.api import Simulation, run_traced_workload
+from repro import api
+from repro.api import Simulation
 
 
 class TestBasicRun:
@@ -48,8 +49,7 @@ class TestDeterminism:
 class TestMachineVariants:
     @pytest.mark.parametrize("ncpus", [1, 2, 6])
     def test_other_cpu_counts_run(self, ncpus):
-        params = MachineParams(num_cpus=ncpus)
-        sim = Simulation("multpgm", params=params, seed=1)
+        sim = Simulation("multpgm", machine=MachineParams(num_cpus=ncpus), seed=1)
         run = sim.run(4.0, warmup_ms=0.0)
         assert len(run.processors) == ncpus
         assert sim.kernel.os_invocations > 0
@@ -60,8 +60,7 @@ class TestMachineVariants:
         assert sim.memsys.bus_uncached == 0
 
     def test_convenience_runner(self):
-        run = run_traced_workload("oracle", horizon_ms=3.0, warmup_ms=0.0,
-                                  seed=1)
+        run = api.run("oracle", horizon_ms=3.0, warmup_ms=0.0, seed=1)
         assert run.workload_name == "oracle"
         assert len(run.trace) > 0
 
@@ -70,9 +69,8 @@ class TestMasterIntegration:
     def test_master_dumps_with_small_buffer(self):
         from repro.monitor.master import MasterConfig
 
-        params = MachineParams(trace_buffer_entries=4000)
         sim = Simulation(
-            "pmake", params=params, seed=1,
+            "pmake", machine=MachineParams(trace_buffer_entries=4000), seed=1,
             master_config=MasterConfig(check_interval_ms=2.0,
                                        dump_threshold=0.5),
         )
@@ -86,9 +84,9 @@ class TestMasterIntegration:
         buffer never overflows')."""
         from repro.monitor.master import MasterConfig
 
-        params = MachineParams(trace_buffer_entries=40_000)
         sim = Simulation(
-            "pmake", params=params, seed=1, monitor_strict=True,
+            "pmake", machine=MachineParams(trace_buffer_entries=40_000), seed=1,
+            monitor_strict=True,
             master_config=MasterConfig(check_interval_ms=2.0,
                                        dump_threshold=0.5),
         )
