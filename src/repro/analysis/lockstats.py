@@ -18,6 +18,10 @@ from repro.common.types import Mode
 #: ``figure-scaling`` prints the same cells per machine.
 CONTENDED_LOCKS = ("runqlk", "memlock", "bfreelock", "calock")
 
+#: Table 12's singleton locks, the ones Pmake acquires most; the mixed
+#: tier's validator bounds the same families' failed%.
+SINGLETON_LOCKS = ("memlock", "runqlk", "ifree", "dfbmaplk", "bfreelock", "calock")
+
 
 @dataclass
 class LockRow:

@@ -1,4 +1,4 @@
-"""Shared machine parameters, typed enums and address arithmetic."""
+"""Shared machine parameters and typed enums."""
 
 from repro.common.params import MachineParams
 from repro.common.types import (
@@ -8,13 +8,6 @@ from repro.common.types import (
     Mode,
     RefDomain,
 )
-from repro.common.addr import (
-    block_of,
-    block_base,
-    blocks_in_range,
-    page_of,
-    page_base,
-)
 
 __all__ = [
     "MachineParams",
@@ -23,9 +16,4 @@ __all__ = [
     "MissClass",
     "Mode",
     "RefDomain",
-    "block_of",
-    "block_base",
-    "blocks_in_range",
-    "page_of",
-    "page_base",
 ]

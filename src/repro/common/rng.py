@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Sequence, TypeVar
-
-T = TypeVar("T")
 
 
 def substream(seed: int, label: str) -> random.Random:
@@ -24,25 +21,3 @@ def substream(seed: int, label: str) -> random.Random:
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
-
-def weighted_choice(rng: random.Random, items: Sequence[T], weights: Sequence[float]) -> T:
-    """Pick one item with the given (unnormalised) weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must sum to a positive value")
-    pick = rng.random() * total
-    acc = 0.0
-    for item, weight in zip(items, weights):
-        acc += weight
-        if pick < acc:
-            return item
-    return items[-1]
-
-
-def exponential_interval(rng: random.Random, mean: float) -> float:
-    """Exponentially distributed interval with the given mean (> 0)."""
-    if mean <= 0:
-        raise ValueError("mean must be positive")
-    return rng.expovariate(1.0 / mean)

@@ -11,7 +11,9 @@ from typing import (
 )
 
 from repro.analysis.report import AnalysisReport
-from repro.fidelity import FIDELITY_LEVELS, validate_fidelity
+from repro.fidelity import (
+    FIDELITY_LEVELS, validate_fast_forward, validate_fidelity,
+)
 from repro.machines import (
     DEFAULT_MACHINE, MACHINES, MachineSpec, canonical_machine, machine_for_cpus,
     resolve_machine,
@@ -83,13 +85,10 @@ class RunSettings:
             raise ValueError(
                 f"check must be True, False or 'deep', not {self.check!r}"
             )
-        fast_forward = int(self.fast_forward)
-        if fast_forward < 0:
-            raise ValueError("fast_forward must be >= 0")
         canonical = {
             "check": check if check == "deep" else bool(check),
             "fidelity": validate_fidelity(self.fidelity),
-            "fast_forward": fast_forward,
+            "fast_forward": validate_fast_forward(self.fast_forward, self.fidelity),
             "machine": canonical_machine(self.machine),
             "workload_args": canonical_workload_args(self.workload_args),
         }

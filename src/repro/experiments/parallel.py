@@ -28,11 +28,10 @@ import traceback
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.report import analyze_trace
+from repro.experiments import paperdata
 from repro.experiments._base import Exhibit, ExperimentContext
 from repro.sanitizers.report import CheckReport
 from repro.sim.runcache import RunCache
-
-BASE_WORKLOADS = ("pmake", "multpgm", "oracle")
 
 
 class ParallelWorkerError(RuntimeError):
@@ -112,7 +111,7 @@ def build_exhibit(
     ctx.cache_exhibits = cache_exhibits
     ctx._runs.update(runs)
     exhibit = build_experiment(exhibit_id, ctx)
-    for key in [(w, settings) for w in BASE_WORKLOADS]:
+    for key in [(w, settings) for w in paperdata.WORKLOADS]:
         if key in ctx._runs:
             runs.setdefault(key, ctx._runs[key])
     return ExhibitBuild(
@@ -206,7 +205,7 @@ def _pool_map(pool, fn, tasks, stage: str):
 def warm_base_runs(ctx: ExperimentContext, jobs: int) -> List[CheckVerdict]:
     """Simulate + analyze the three base workloads, ``jobs`` at a time;
     returns the verdicts of the checked runs it obtained."""
-    missing = [w for w in BASE_WORKLOADS if (w, ctx.settings) not in ctx._runs]
+    missing = [w for w in paperdata.WORKLOADS if (w, ctx.settings) not in ctx._runs]
     if jobs > 1 and len(missing) > 1:
         tasks = [(w, ctx.settings, ctx.cache) for w in missing]
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
@@ -260,7 +259,7 @@ def run_exhibits(
     verdicts = [] if serial else warm_base_runs(ctx, jobs)
     base_runs = {
         (w, ctx.settings): ctx._runs[(w, ctx.settings)]
-        for w in BASE_WORKLOADS if (w, ctx.settings) in ctx._runs
+        for w in paperdata.WORKLOADS if (w, ctx.settings) in ctx._runs
     }
     if serial:
         for exhibit_id in todo:

@@ -3,7 +3,7 @@ Pmake."""
 
 from __future__ import annotations
 
-from repro.analysis.lockstats import lock_table_rows
+from repro.analysis.lockstats import SINGLETON_LOCKS, lock_table_rows
 from repro.experiments import paperdata
 from repro.experiments._base import Exhibit, ExperimentContext
 
@@ -15,8 +15,6 @@ _COLUMNS = (
     "same_cpu_no_interv%", "cached/uncached%",
 )
 
-_SINGLETONS = ("memlock", "runqlk", "ifree", "dfbmaplk", "bfreelock", "calock")
-
 
 def build(ctx: ExperimentContext) -> Exhibit:
     exhibit = Exhibit(EXHIBIT_ID, TITLE, _COLUMNS)
@@ -26,10 +24,10 @@ def build(ctx: ExperimentContext) -> Exhibit:
     rows = {
         row.name: row
         for row in lock_table_rows(
-            run.kernel, total_cycles, min_acquires=1, families=list(_SINGLETONS)
+            run.kernel, total_cycles, min_acquires=1, families=list(SINGLETON_LOCKS)
         )
     }
-    for lock in _SINGLETONS:
+    for lock in SINGLETON_LOCKS:
         paper = paperdata.TABLE12[lock]
         exhibit.add_row(lock, "paper", *paper)
         row = rows.get(lock)

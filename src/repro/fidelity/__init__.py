@@ -48,6 +48,21 @@ def validate_fidelity(fidelity: str) -> str:
     return fidelity
 
 
+def validate_fast_forward(fast_forward: int, fidelity: str) -> int:
+    """The atomic reference budget as an int, refused where it cannot
+    take effect: only the mixed tier hands off from atomic to detailed,
+    so at any other tier a budget would key a run identical to the
+    budget-free one."""
+    fast_forward = int(fast_forward)
+    if fast_forward < 0:
+        raise ValueError("fast_forward must be >= 0")
+    if fast_forward and fidelity != "mixed":
+        raise ValueError(
+            f"fast_forward={fast_forward} needs fidelity 'mixed', not {fidelity!r}"
+        )
+    return fast_forward
+
+
 def snapshot_window_counters(sim) -> dict:
     """Copy the cumulative counters at the measurement-window boundary.
 
@@ -72,5 +87,6 @@ __all__ = [
     "FIDELITY_LEVELS",
     "UnsupportedFidelityError",
     "snapshot_window_counters",
+    "validate_fast_forward",
     "validate_fidelity",
 ]

@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.analysis.lockstats import SINGLETON_LOCKS
 from repro.common.types import MissClass
 
 # Table 2 rows compared per cache kind.
@@ -54,11 +55,6 @@ _CLASSES = (
     MissClass.DISPAP,
     MissClass.SHARING,
     MissClass.INVAL,
-)
-
-# The Table 12 singleton locks (same list the exhibit reports).
-_TABLE12_FAMILIES = (
-    "memlock", "runqlk", "ifree", "dfbmaplk", "bfreelock", "calock",
 )
 
 # The error bounds: max share drift in percentage points, max symmetric
@@ -254,7 +250,7 @@ def compare_runs(
         count("table11", f"{family}_acquires", d, m)
 
     # Table 12: failed% for the singleton locks + sync-bus traffic.
-    for family in _TABLE12_FAMILIES:
+    for family in SINGLETON_LOCKS:
         d = det_locks.get(family)
         m = mix_locks.get(family)
         if d is None or m is None:
@@ -332,25 +328,25 @@ def validate_workload(
 
 
 # The settings table rows this harness reads (it always runs both tiers),
-# over its own 40/260 ms window.
+# over its own 40/260 ms window and a mixed base, since the fast-forward
+# budget is the mixed run's.
 _SETTINGS = ("horizon_ms", "warmup_ms", "seed", "machine", "fast_forward")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.experiments import paperdata
     from repro.experiments._base import (
         RunSettings,
         add_settings_arguments,
         resolve_settings,
     )
 
-    base = RunSettings(horizon_ms=40.0, warmup_ms=260.0)
+    base = RunSettings(horizon_ms=40.0, warmup_ms=260.0, fidelity="mixed")
     parser = argparse.ArgumentParser(
         prog="python -m repro.fidelity.validate",
         description="Bounded-error validation of the mixed fidelity tier",
     )
-    parser.add_argument(
-        "workloads", nargs="*", default=["pmake", "multpgm", "oracle"]
-    )
+    parser.add_argument("workloads", nargs="*", default=list(paperdata.WORKLOADS))
     add_settings_arguments(parser, names=_SETTINGS, base=base)
     parser.add_argument(
         "--min-speedup", type=float, default=0.0,

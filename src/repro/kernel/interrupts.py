@@ -6,20 +6,15 @@ referencing relatively few data items", which is why they contribute
 more to instruction misses than to data misses (Figure 9).
 
 Routing models the 4D/340: device interrupts (disk, terminal) are taken
-on CPU 0; network functions run on CPU 1 (Section 2.2); the clock ticks
-on every CPU every 10 ms.
+on ``MachineParams.device_cpu`` (CPU 0); network functions run on
+``network_cpu`` (CPU 1, Section 2.2); the clock ticks on every CPU every
+10 ms.
 """
 
 from __future__ import annotations
 
 from repro.common.types import InterruptKind
 from repro.kernel.structures import StructName
-
-# Legacy aliases for the measured 4D/340's routing. The simulator reads
-# the explicit MachineParams.device_cpu / network_cpu fields instead, so
-# scaled geometries (repro.machines) can route deliberately.
-DEVICE_CPU = 0
-NETWORK_CPU = 1
 
 _INTR_CODE = {kind: i for i, kind in enumerate(InterruptKind)}
 

@@ -161,14 +161,6 @@ class Cache:
         self._present.clear()
         return flushed
 
-    def invalidate_range(self, first_block: int, num_blocks: int) -> List[int]:
-        """Flush every resident block in ``[first_block, first_block+num_blocks)``."""
-        flushed = []
-        for block in range(first_block, first_block + num_blocks):
-            if self.invalidate(block):
-                flushed.append(block)
-        return flushed
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

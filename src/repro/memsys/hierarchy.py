@@ -13,7 +13,6 @@ paper's monitor, and our modelled monitor, cannot see those.
 from __future__ import annotations
 
 import enum
-from typing import List
 
 from repro.common.params import MachineParams
 from repro.memsys.cache import Cache, EMPTY
@@ -75,16 +74,6 @@ class CpuCacheHierarchy:
         """
         self.dl1.invalidate(block)
         return self.dl2.invalidate(block)
-
-    def invalidate_instr_range(self, first_block: int, num_blocks: int) -> List[int]:
-        """Flush an address range from the I-cache (page reallocation).
-
-        The 4D/340 keeps I-caches coherent in software only: when a
-        physical page that contained code is reallocated, the OS must
-        invalidate the I-caches, producing the paper's *Inval* misses
-        (Table 2).
-        """
-        return self.icache.invalidate_range(first_block, num_blocks)
 
     def data_resident(self, block: int) -> bool:
         return self.dl2.lookup(block)

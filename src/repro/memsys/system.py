@@ -483,24 +483,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Instruction-cache invalidation (page reallocation)
     # ------------------------------------------------------------------
-    def flush_icache_range(self, base_addr: int, size: int) -> int:
-        """Invalidate an address range from every CPU's I-cache.
-
-        Called by the kernel when a physical page that contained code is
-        reallocated. Returns the number of lines invalidated across all
-        CPUs (the seeds of future *Inval* misses).
-        """
-        first_block = base_addr // self.block_bytes
-        num_blocks = -(-size // self.block_bytes)
-        flushed = 0
-        for hierarchy in self.hierarchies:
-            for block in hierarchy.invalidate_instr_range(first_block, num_blocks):
-                self.truth.record_invalidation(hierarchy.cpu, INSTR, block)
-                flushed += 1
-        if self.checker is not None:
-            self.checker.after_icache_flush(first_block, num_blocks)
-        return flushed
-
     def flush_all_icaches(self) -> int:
         """Invalidate every CPU's entire I-cache.
 

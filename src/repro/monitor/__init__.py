@@ -22,9 +22,7 @@ from repro.monitor.hwmonitor import (
 )
 from repro.monitor.escapes import (
     Instrumentation,
-    EscapeEvent,
     EventType,
-    decode_escape_stream,
     ESCAPE_SIGNAL_BASE,
 )
 from repro.monitor.master import MasterTracer
@@ -40,9 +38,7 @@ __all__ = [
     "OP_WRITE",
     "OP_UNCACHED",
     "Instrumentation",
-    "EscapeEvent",
     "EventType",
-    "decode_escape_stream",
     "ESCAPE_SIGNAL_BASE",
     "MasterTracer",
 ]

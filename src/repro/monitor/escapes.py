@@ -7,8 +7,8 @@ address in the escape window *signals* an event; the data payload is sent
 as further uncached reads whose addresses are the payload values shifted
 left one bit with the least-significant bit set (hence odd, hence never
 confusable with real code fetches, which are block aligned). The
-postprocessor pairs each signal with the next N uncached reads from the
-same CPU.
+postprocessor (:class:`repro.analysis.decode.TraceAnalyzer`) pairs each
+signal with the next N uncached reads from the same CPU.
 
 We encode the same event vocabulary the paper lists: entries/exits from
 the OS, the ID of the running processes, TLB changes (needed to translate
@@ -21,8 +21,7 @@ data (Section 2.2, last paragraph).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Optional
 
 from repro.memsys.memory import ESCAPE_BASE
 
@@ -87,16 +86,6 @@ def signal_event(addr: int) -> Optional[EventType]:
         return EventType(code)
     except ValueError:
         return None
-
-
-@dataclass(frozen=True)
-class EscapeEvent:
-    """One decoded escape sequence."""
-
-    tick: int
-    cpu: int
-    type: EventType
-    payloads: Tuple[int, ...]
 
 
 class Instrumentation:
@@ -171,56 +160,3 @@ class NullInstrumentation(Instrumentation):
 
     def __init__(self) -> None:
         super().__init__(enabled=False)
-
-
-class EscapeDecoder:
-    """Per-CPU state machine pairing signals with their payload reads."""
-
-    def __init__(self, num_cpus: int):
-        # per CPU: (pending event, tick, collected payloads) or None
-        self._pending: List[Optional[Tuple[EventType, int, List[int]]]] = [
-            None
-        ] * num_cpus
-
-    def feed(self, tick: int, cpu: int, addr: int) -> Optional[EscapeEvent]:
-        """Feed one uncached read; returns a completed event, if any."""
-        pending = self._pending[cpu]
-        if pending is None:
-            event = signal_event(addr)
-            if event is None:
-                # A stray odd uncached read with no pending signal: the
-                # real postprocessor would flag this; we surface it.
-                raise ValueError(
-                    f"uncached read of {addr:#x} by CPU {cpu} is not a valid escape signal"
-                )
-            if PAYLOAD_COUNT[event] == 0:
-                return EscapeEvent(tick, cpu, event, ())
-            self._pending[cpu] = (event, tick, [])
-            return None
-        event, start_tick, payloads = pending
-        payloads.append(decode_payload(addr))
-        if len(payloads) == PAYLOAD_COUNT[event]:
-            self._pending[cpu] = None
-            return EscapeEvent(start_tick, cpu, event, tuple(payloads))
-        return None
-
-
-def decode_escape_stream(
-    entries: Iterable[Tuple[int, int, int, int]], num_cpus: int
-) -> Iterator[Union[EscapeEvent, Tuple[int, int, int, int]]]:
-    """Split a raw trace into escape events and ordinary transactions.
-
-    Yields :class:`EscapeEvent` objects for completed escape sequences and
-    passes every non-escape entry through unchanged, preserving order.
-    """
-    from repro.monitor.hwmonitor import OP_UNCACHED
-
-    decoder = EscapeDecoder(num_cpus)
-    for entry in entries:
-        tick, cpu, addr, op = entry
-        if op == OP_UNCACHED:
-            event = decoder.feed(tick, cpu, addr)
-            if event is not None:
-                yield event
-        else:
-            yield entry

@@ -16,7 +16,7 @@ memory system mutates shared state:
   exclusively owned by a *different* CPU;
 - **I-cache isolation** — a data-write invalidation must leave every
   I-cache untouched (only explicit flushes may invalidate instruction
-  lines), and an explicit flush must actually remove the range;
+  lines), and a flush on frame reuse must empty every I-cache;
 - **final sweep** — at end of run, every owned line is verified to have
   no remote cached copy (the never-two-dirty-copies invariant).
 """
@@ -157,21 +157,6 @@ class CoherenceChecker:
                         f"cpu{hierarchy.cpu}'s data cache",
                         {"line": hex(block * memsys.block_bytes),
                          "stale_copy": f"cpu{hierarchy.cpu}"},
-                    ))
-
-    def after_icache_flush(self, first_block: int, num_blocks: int) -> None:
-        """An explicit flush must leave no line of the range resident."""
-        self.flushes_checked += 1
-        memsys = self.memsys
-        for hierarchy in memsys.hierarchies:
-            for block in range(first_block, first_block + num_blocks):
-                if hierarchy.icache.lookup(block):
-                    self.registry.record(Violation(
-                        "coherence", "icache-flush-incomplete",
-                        hierarchy.cpu, 0,
-                        f"line {hex(block * memsys.block_bytes)} survived "
-                        "an explicit I-cache flush",
-                        {"line": hex(block * memsys.block_bytes)},
                     ))
 
     def after_full_icache_flush(self) -> None:

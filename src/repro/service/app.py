@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
-from repro.experiments._base import Exhibit, RunSettings, resolve_settings
+from repro.experiments._base import (
+    Exhibit, ExperimentContext, RunSettings, resolve_settings,
+)
 from repro.experiments.registry import (
     EXPERIMENTS,
     list_exhibit_metadata,
@@ -332,9 +334,9 @@ class ServiceApp:
         if payload is not None:
             exhibit = Exhibit.from_dict(payload)
         else:
-            payload = self.cache.load(self.cache.exhibit_key(exhibit_id, settings))
-            exhibit = payload.get("exhibit") if payload is not None else None
-            if not isinstance(exhibit, Exhibit):
+            ctx = ExperimentContext(settings, cache=self.cache)
+            exhibit = ctx.load_cached_exhibit(exhibit_id)
+            if exhibit is None:
                 return None
         self.exhibits[(exhibit_id, settings)] = exhibit
         return exhibit

@@ -24,6 +24,7 @@ from repro.cpu.processor import Processor
 from repro.fidelity import (
     UnsupportedFidelityError,
     snapshot_window_counters,
+    validate_fast_forward,
     validate_fidelity,
 )
 from repro.kernel.kernel import Kernel, KernelTuning
@@ -168,9 +169,7 @@ class Simulation:
         self.params = resolve_machine(machine)
         self.seed = seed
         self.fidelity = validate_fidelity(fidelity)
-        if fast_forward < 0:
-            raise ValueError("fast_forward must be >= 0")
-        self.fast_forward = int(fast_forward)
+        self.fast_forward = validate_fast_forward(fast_forward, fidelity)
         self.record_drivers = record_drivers
         if fidelity == "atomic" and (check or check_enabled_by_env()):
             raise UnsupportedFidelityError(
@@ -297,13 +296,14 @@ class Simulation:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def run(self, horizon_ms: float, warmup_ms: float = 120.0) -> TracedRun:
+    def run(self, horizon_ms: float, *, warmup_ms: float) -> TracedRun:
         """Run the workload and trace ``horizon_ms`` of simulated time.
 
         ``warmup_ms`` runs the workload *before* the monitor starts
         recording: the paper traced an already-running system, not a cold
         boot (binaries resident, buffer cache warm, scheduler in steady
-        state).
+        state). It has no default: ``RunSettings`` and the sweeps each
+        choose their own steady state.
         """
         warmup = self.params.ms_to_cycles(warmup_ms)
         horizon = warmup + self.params.ms_to_cycles(horizon_ms)

@@ -101,7 +101,3 @@ class Workload(ABC):
     def net_events(self, horizon_cycles: int, rng) -> List[NetEvent]:
         """Network-arrival schedule, delivered on the network CPU."""
         return []
-
-    def baseline_frames(self) -> int:
-        """Frames held by untraced residents (see VmTuning)."""
-        return 5120

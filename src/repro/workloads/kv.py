@@ -166,7 +166,3 @@ class KvWorkload(Workload):
             op += 1
             if op % 64 == 63:
                 yield A.Misc("time")
-
-    # ------------------------------------------------------------------
-    def baseline_frames(self) -> int:
-        return 5600

@@ -148,6 +148,3 @@ class MultpgmWorkload(Workload):
                 gap_ms = rng.uniform(*_ED_BURST_GAP_MS)
                 t += gap_ms * cycles_per_ms
         return events
-
-    def baseline_frames(self) -> int:
-        return 5900

@@ -146,6 +146,3 @@ class NetserverWorkload(Workload):
             arrival += 1
             t += rng.expovariate(self.arrivals_per_ms) * cycles_per_ms
         return events
-
-    def baseline_frames(self) -> int:
-        return 5600

@@ -155,6 +155,3 @@ class OracleWorkload(Workload):
                 # Group commit: one redo write covers several commits.
                 yield A.WriteFile(_REDO_INO, offset, 2048)
                 offset += 2048
-
-    def baseline_frames(self) -> int:
-        return 5400

@@ -170,6 +170,3 @@ class PmakeWorkload(Workload):
             yield A.WriteFile(obj_ino, offset, 2048)
         yield A.Misc("signal")  # tell make we are done (SIGCHLD path)
     # driver end -> implicit exit()
-
-    def baseline_frames(self) -> int:
-        return 5900

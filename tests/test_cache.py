@@ -90,14 +90,6 @@ class TestInvalidation:
         assert cache.invalidate_all() == [1, 2, 3]
         assert cache.occupancy() == 0
 
-    def test_invalidate_range(self):
-        cache = make_cache(size=1024)
-        for block in range(10):
-            cache.access(block)
-        flushed = cache.invalidate_range(4, 3)
-        assert flushed == [4, 5, 6]
-        assert cache.occupancy() == 7
-
     def test_invalidated_line_is_free_again(self):
         cache = make_cache(size=1024)
         cache.access(3)

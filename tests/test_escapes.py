@@ -1,18 +1,17 @@
-"""Escape-reference encoding/decoding."""
+"""Escape-reference encoding, and its decoding by the postprocessor."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.decode import TraceAnalyzer
 from repro.common.params import MachineParams
 from repro.cpu.processor import Processor
 from repro.memsys.system import MemorySystem
 from repro.monitor.escapes import (
-    EscapeDecoder,
     EventType,
     Instrumentation,
     NullInstrumentation,
     PAYLOAD_COUNT,
-    decode_escape_stream,
     decode_payload,
     payload_address,
     signal_address,
@@ -89,43 +88,63 @@ class TestInstrumentation:
             Instrumentation()._emit(proc, EventType.OS_ENTER)  # needs 1
 
 
+def recording_analyzer(num_cpus=4):
+    """The postprocessor every exhibit runs, recording each decoded escape
+    as ``(tick, cpu, event, payloads)`` in ``.events`` instead of acting
+    on it."""
+    analyzer = TraceAnalyzer("escapes", num_cpus, 1024, 1024)
+    analyzer.events = []
+    analyzer._event = lambda *event: analyzer.events.append(event)
+    return analyzer
+
+
+def feed(analyzer, tick, cpu, addr):
+    analyzer.feed([(tick, cpu, addr, OP_UNCACHED)])
+    return analyzer.events
+
+
 class TestDecoder:
     def test_zero_payload_event_immediate(self):
-        decoder = EscapeDecoder(4)
-        event = decoder.feed(10, 0, signal_address(EventType.OS_EXIT))
-        assert event is not None and event.type is EventType.OS_EXIT
+        analyzer = recording_analyzer()
+        events = feed(analyzer, 10, 0, signal_address(EventType.OS_EXIT))
+        assert events == [(10, 0, EventType.OS_EXIT, ())]
 
     def test_payload_collection(self):
-        decoder = EscapeDecoder(4)
-        assert decoder.feed(10, 0, signal_address(EventType.PID_SET)) is None
-        event = decoder.feed(11, 0, payload_address(42))
-        assert event.payloads == (42,)
-        assert event.tick == 10  # stamped at the signal
+        analyzer = recording_analyzer()
+        assert feed(analyzer, 10, 0, signal_address(EventType.PID_SET)) == []
+        events = feed(analyzer, 11, 0, payload_address(42))
+        # Stamped at the signal, not at the payload read.
+        assert events == [(10, 0, EventType.PID_SET, (42,))]
 
     def test_interleaved_cpus(self):
-        decoder = EscapeDecoder(4)
-        decoder.feed(0, 0, signal_address(EventType.PID_SET))
-        decoder.feed(1, 1, signal_address(EventType.PID_SET))
-        event1 = decoder.feed(2, 1, payload_address(7))
-        event0 = decoder.feed(3, 0, payload_address(5))
-        assert event1.cpu == 1 and event1.payloads == (7,)
-        assert event0.cpu == 0 and event0.payloads == (5,)
+        analyzer = recording_analyzer()
+        feed(analyzer, 0, 0, signal_address(EventType.PID_SET))
+        feed(analyzer, 1, 1, signal_address(EventType.PID_SET))
+        feed(analyzer, 2, 1, payload_address(7))
+        events = feed(analyzer, 3, 0, payload_address(5))
+        assert events == [
+            (1, 1, EventType.PID_SET, (7,)),
+            (0, 0, EventType.PID_SET, (5,)),
+        ]
 
     def test_stray_odd_read_rejected(self):
-        decoder = EscapeDecoder(4)
+        analyzer = recording_analyzer()
         with pytest.raises(ValueError):
-            decoder.feed(0, 0, payload_address(3))  # no pending signal
+            feed(analyzer, 0, 0, payload_address(3))  # no pending signal
 
     def test_stream_decoder_passes_plain_entries(self):
-        entries = [
+        """Cacheable entries go to the cache reconstruction, not the
+        escape decoder."""
+        analyzer = recording_analyzer()
+        analyzer.feed([
             (0, 0, 0x1000, OP_READ),
             (1, 0, signal_address(EventType.IDLE_ENTER), OP_UNCACHED),
             (2, 0, 0x2000, OP_READ),
-        ]
-        out = list(decode_escape_stream(entries, 4))
-        assert out[0] == entries[0]
-        assert out[1].type is EventType.IDLE_ENTER
-        assert out[2] == entries[2]
+        ])
+        assert analyzer.events == [(1, 0, EventType.IDLE_ENTER, ())]
+        result = analyzer.result
+        assert result.monitor_uncached == 1
+        assert result.monitor_instr_reads + result.monitor_data_reads == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,24 +156,30 @@ class TestDecoder:
             st.lists(st.integers(0, 10000), min_size=4, max_size=4),
         ),
         max_size=40,
-    )
+    ),
+    st.randoms(use_true_random=False),
 )
-def test_roundtrip_any_event_sequence(events):
-    """Whatever events each CPU emits (interleaved), the decoder
-    reproduces them exactly, in order, per CPU."""
-    decoder = EscapeDecoder(4)
-    expected = {cpu: [] for cpu in range(4)}
-    decoded = {cpu: [] for cpu in range(4)}
-    tick = 0
+def test_roundtrip_any_event_sequence(events, rng):
+    """Whatever events each CPU emits, with the CPUs' reads interleaved
+    on the bus, the postprocessor decodes them exactly, in order per CPU,
+    each stamped with its signal's tick."""
+    pending = {cpu: [] for cpu in range(4)}
     for cpu, event, values in events:
         payloads = tuple(values[: PAYLOAD_COUNT[event]])
-        expected[cpu].append((event, payloads))
-        result = decoder.feed(tick, cpu, signal_address(event))
-        tick += 1
-        for value in payloads:
-            assert result is None or not payloads
-            result = decoder.feed(tick, cpu, payload_address(value))
-            tick += 1
-        assert result is not None
-        decoded[cpu].append((result.type, result.payloads))
+        pending[cpu].append((signal_address(event), (event, payloads)))
+        pending[cpu] += [(payload_address(value), None) for value in payloads]
+    entries = []
+    expected = {cpu: [] for cpu in range(4)}
+    while any(pending.values()):
+        cpu = rng.choice([c for c, reads in pending.items() if reads])
+        addr, emitted = pending[cpu].pop(0)
+        tick = len(entries)
+        entries.append((tick, cpu, addr, OP_UNCACHED))
+        if emitted is not None:
+            expected[cpu].append((tick, *emitted))
+    analyzer = recording_analyzer()
+    analyzer.feed(entries)
+    decoded = {cpu: [] for cpu in range(4)}
+    for tick, cpu, event, payloads in analyzer.events:
+        decoded[cpu].append((tick, event, payloads))
     assert decoded == expected

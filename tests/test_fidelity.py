@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.report import analyze_trace
 from repro.api import Simulation, UnsupportedFidelityError
-from repro.experiments._base import resolve_settings
+from repro.experiments._base import RunSettings, resolve_settings
 from repro.fidelity import FIDELITY_LEVELS, validate_fidelity
 from repro.fidelity.checkpoint import checkpoint_key
 from repro.fidelity.validate import _MemoryStore, compare_runs
@@ -319,17 +319,20 @@ class TestEnvResolution:
             resolve_settings()
 
     def test_fast_forward_env_default(self, monkeypatch):
+        # The budget is the mixed tier's; any other tier refuses it.
+        mixed = RunSettings(fidelity="mixed")
+        monkeypatch.delenv("REPRO_FIDELITY", raising=False)
         monkeypatch.delenv("REPRO_FAST_FORWARD", raising=False)
-        assert resolve_settings().fast_forward == 0
+        assert resolve_settings(base=mixed).fast_forward == 0
         monkeypatch.setenv("REPRO_FAST_FORWARD", "250000")
-        assert resolve_settings().fast_forward == 250000
-        assert resolve_settings({"fast_forward": 9}).fast_forward == 9
+        assert resolve_settings(base=mixed).fast_forward == 250000
+        assert resolve_settings({"fast_forward": 9}, base=mixed).fast_forward == 9
         monkeypatch.setenv("REPRO_FAST_FORWARD", "-3")
         with pytest.raises(ValueError):
-            resolve_settings()
+            resolve_settings(base=mixed)
         monkeypatch.setenv("REPRO_FAST_FORWARD", "lots")
         with pytest.raises(ValueError, match="must be an integer"):
-            resolve_settings()
+            resolve_settings(base=mixed)
 
     def test_levels_frozen(self):
         assert set(FIDELITY_LEVELS) == {"detailed", "atomic", "mixed"}

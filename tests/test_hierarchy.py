@@ -85,14 +85,3 @@ class TestDataSide:
         h = make_hierarchy()
         h.daccess(7)
         assert h.data_resident(7)
-
-
-class TestInstrRangeInvalidation:
-    def test_range_flush(self):
-        h = make_hierarchy()
-        for block in range(10, 20):
-            h.icache.access(block)
-        flushed = h.invalidate_instr_range(12, 4)
-        assert flushed == [12, 13, 14, 15]
-        assert not h.instr_resident(12)
-        assert h.instr_resident(11)

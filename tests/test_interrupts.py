@@ -3,7 +3,6 @@
 import pytest
 
 from repro.common.types import HighLevelOp, InterruptKind, Mode
-from repro.kernel.interrupts import DEVICE_CPU
 from repro.kernel.process import Image, ProcState
 from tests.test_kernel_core import dummy_driver, make_kernel
 
@@ -77,8 +76,9 @@ class TestDevices:
         kernel.fs.do_read(cpus[0], process, 100, 0, 1024, 0)
         kernel.current[0] = None
         due = kernel.fs.disk.next_time()
-        cpus[DEVICE_CPU].advance_to(due + 1)
-        kernel.service_disk(cpus[DEVICE_CPU])
+        device = cpus[kernel.params.device_cpu]
+        device.advance_to(due + 1)
+        kernel.service_disk(device)
         assert kernel.interrupts.counts[InterruptKind.DISK] == 1
         assert process.state is ProcState.RUNNABLE
 

@@ -108,13 +108,6 @@ class TestClassification:
         memsys.ifetch(1, 0, 100, OS, 0)
         assert classes(memsys, OS, INSTR)[MissClass.INVAL] == 1
 
-    def test_flush_range(self, memsys):
-        memsys.ifetch(0, 0, 100, OS, 0)
-        flushed = memsys.flush_icache_range(100 * 16, 16)
-        assert flushed == 1
-        memsys.ifetch(1, 0, 100, OS, 0)
-        assert classes(memsys, OS, INSTR)[MissClass.INVAL] == 1
-
     def test_uncached_counted_separately(self, memsys):
         memsys.uncached_read(0, 0, 0xF0001)
         assert classes(memsys, OS)[MissClass.UNCACHED] == 1

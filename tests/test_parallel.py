@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import parallel
+from repro.experiments import paperdata, parallel
 from repro.api import ExperimentContext, RunSettings
 from repro.experiments.registry import run_experiment
 from repro.sim.runcache import RunCache
@@ -78,7 +78,7 @@ def test_parallel_keeps_only_base_runs(serial_texts):
         assert {"table1", "figure-skew"} <= set(ctx.exhibit_cache)
         assert ctx.exhibit_cache["table1"].to_text() == serial_texts["table1"]
         assert set(ctx._runs) == {
-            (workload, ctx.settings) for workload in parallel.BASE_WORKLOADS
+            (workload, ctx.settings) for workload in paperdata.WORKLOADS
         }, jobs
         # Further serial derivations reuse the base runs.
         assert run_experiment("table4", ctx).to_text()

@@ -1,9 +1,6 @@
 """Deterministic RNG utilities."""
 
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.common.rng import exponential_interval, substream, weighted_choice
+from repro.common.rng import substream
 
 
 class TestSubstream:
@@ -21,45 +18,3 @@ class TestSubstream:
         a = substream(1, "x")
         b = substream(2, "x")
         assert a.random() != b.random()
-
-
-class TestWeightedChoice:
-    def test_single_item(self):
-        rng = substream(0, "t")
-        assert weighted_choice(rng, ["only"], [1.0]) == "only"
-
-    def test_zero_weight_never_chosen(self):
-        rng = substream(0, "t")
-        picks = {weighted_choice(rng, ["a", "b"], [0.0, 1.0]) for _ in range(50)}
-        assert picks == {"b"}
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            weighted_choice(substream(0, "t"), ["a"], [1.0, 2.0])
-
-    def test_rejects_zero_total(self):
-        with pytest.raises(ValueError):
-            weighted_choice(substream(0, "t"), ["a"], [0.0])
-
-    @given(st.integers(0, 1000))
-    def test_respects_rough_proportions(self, seed):
-        rng = substream(seed, "prop")
-        counts = {"a": 0, "b": 0}
-        for _ in range(200):
-            counts[weighted_choice(rng, ["a", "b"], [3.0, 1.0])] += 1
-        assert counts["a"] > counts["b"]
-
-
-class TestExponential:
-    def test_positive(self):
-        rng = substream(0, "exp")
-        assert all(exponential_interval(rng, 5.0) > 0 for _ in range(100))
-
-    def test_mean_approximately_right(self):
-        rng = substream(0, "exp")
-        samples = [exponential_interval(rng, 10.0) for _ in range(5000)]
-        assert sum(samples) / len(samples) == pytest.approx(10.0, rel=0.1)
-
-    def test_rejects_nonpositive_mean(self):
-        with pytest.raises(ValueError):
-            exponential_interval(substream(0, "e"), 0.0)

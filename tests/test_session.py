@@ -45,6 +45,14 @@ class TestDeterminism:
         b = Simulation("pmake", seed=2).run(5.0, warmup_ms=0.0)
         assert list(a.trace.all_entries()) != list(b.trace.all_entries())
 
+    def test_warmup_is_required_by_keyword(self):
+        """No default window: a caller names the steady state it traces."""
+        sim = Simulation("pmake", seed=1)
+        with pytest.raises(TypeError, match="warmup_ms"):
+            sim.run(5.0)
+        with pytest.raises(TypeError):
+            sim.run(5.0, 0.0)
+
 
 class TestMachineVariants:
     @pytest.mark.parametrize("ncpus", [1, 2, 6])

@@ -39,6 +39,10 @@ SAMPLES = {
     "workload_args": ("skew=1.2", {"skew": 1.2}),
 }
 
+# A row whose sample is spelled beside another row's: a fast-forward
+# budget is refused unless the tier is mixed.
+NEEDS = {"fast_forward": "fidelity"}
+
 _ENV_VARS = [row.env for row in SETTINGS_TABLE if row.env]
 
 
@@ -91,23 +95,30 @@ def test_every_field_has_a_row():
 @pytest.mark.parametrize("row", SETTINGS_TABLE, ids=lambda row: row.name)
 def test_every_spelling_builds_the_same_settings(clean_env, cli_settings, row):
     monkeypatch = clean_env
-    text, value = SAMPLES[row.name]
-    expected = RunSettings(**{row.name: value})
+    rows = [row] + [r for r in SETTINGS_TABLE if r.name == NEEDS.get(row.name)]
+    texts = {r.name: SAMPLES[r.name][0] for r in rows}
+    values = {r.name: SAMPLES[r.name][1] for r in rows}
+    expected = RunSettings(**values)
     assert expected != RunSettings()
 
+    argv = []
+    for r in rows:
+        argv += [r.flag] if r.parse is None else [r.flag, texts[r.name]]
     spelled = {
-        "flag": cli_settings(
-            [row.flag] if row.parse is None else [row.flag, text]
-        ),
-        "kwarg": _via_api(monkeypatch, **{row.name: value}),
+        "flag": cli_settings(argv),
+        "kwarg": _via_api(monkeypatch, **values),
     }
     if row.query:
-        spelled["query"] = _via_query(monkeypatch, f"{row.query}={text}")
+        spelled["query"] = _via_query(
+            monkeypatch, "&".join(f"{r.query}={texts[r.name]}" for r in rows)
+        )
     if row.env:
-        monkeypatch.setenv(row.env, text)
+        for r in rows:
+            monkeypatch.setenv(r.env, texts[r.name])
         spelled["env (cli)"] = cli_settings([])
         spelled["env (api)"] = _via_api(monkeypatch)
-        monkeypatch.delenv(row.env)
+        for r in rows:
+            monkeypatch.delenv(r.env)
 
     cache = RunCache(enabled=False)
     expected_key = cache.exhibit_key("table1", expected)
@@ -166,8 +177,36 @@ class TestRejections:
         for a Simulation) does not stop it."""
         clean_env.setenv("REPRO_FIDELITY", "atomic")
         clean_env.setenv("REPRO_FAST_FORWARD", "7")
-        settings = resolve_settings(names=("fast_forward",))
-        assert settings == RunSettings(fast_forward=7)
+        mixed = RunSettings(fidelity="mixed")
+        settings = resolve_settings(names=("fast_forward",), base=mixed)
+        assert settings == RunSettings(fidelity="mixed", fast_forward=7)
+
+    @pytest.mark.parametrize("fidelity", ["detailed", "atomic"])
+    def test_fast_forward_needs_mixed(self, clean_env, capsys, fidelity):
+        """Only the mixed tier hands off from atomic to detailed, so a
+        budget at any other tier is refused by keyword, flag, env var and
+        query, before anything is simulated."""
+        from repro.experiments.cli import main
+        from repro.sim._session import Simulation
+
+        refused = "fast_forward=5000 needs fidelity 'mixed'"
+        with pytest.raises(ValueError, match=refused):
+            Simulation("pmake", fidelity=fidelity, fast_forward=5000)
+        with pytest.raises(ValueError, match=refused):
+            api.exhibit("table1", fidelity=fidelity, fast_forward=5000, cache=False)
+        argv = ["run", "table1", "--no-cache", "--fidelity", fidelity]
+        assert main(argv + ["--fast-forward", "5000"]) == 2
+        assert refused in capsys.readouterr().err
+        clean_env.setenv("REPRO_FAST_FORWARD", "5000")
+        assert main(argv) == 2
+        assert refused in capsys.readouterr().err
+        clean_env.delenv("REPRO_FAST_FORWARD")
+        app = api.ServiceApp(api.ServiceConfig(no_cache=True))
+        reply = app.handle(
+            "GET", "/exhibits/table1", f"fidelity={fidelity}&fast_forward=5000"
+        )
+        assert reply.status == 400
+        assert refused in reply.json()["error"]
 
 
 def test_sweep_window():

@@ -159,9 +159,6 @@ class _LegacySets:
         self.present.clear()
         return flushed
 
-    def invalidate_range(self, first, count):
-        return [b for b in range(first, first + count) if self.invalidate(b)]
-
 
 def _legacy_dumps(cache, legacy, protocol):
     """``cache`` pickled the way the per-set list class pickled: its
@@ -189,7 +186,6 @@ _SETS = 64
 _BLOCK = st.integers(0, 6 * _SETS)
 _CACHE_OP = st.one_of(
     st.tuples(st.sampled_from(["fill", "access", "invalidate"]), _BLOCK),
-    st.tuples(st.just("invalidate_range"), _BLOCK, st.integers(0, 40)),
     st.tuples(st.just("invalidate_all")),
 )
 

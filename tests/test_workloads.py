@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.rng import substream
 from repro.api import Simulation
+from repro.sim.config import CALIBRATIONS
 from repro.workloads import (
     WORKLOADS, canonical_workload_args, make_workload, parse_workload_args,
     register_workload, workload_arg_names,
@@ -33,6 +34,12 @@ class TestFactory:
 
     def test_registry_complete(self):
         assert set(WORKLOADS) == set(ALL_WORKLOADS)
+
+    def test_every_registered_workload_is_calibrated(self):
+        """A workload's memory baseline, quantum and touch rate come only
+        from CALIBRATIONS: one without an entry would silently run on
+        VmTuning's 5120 frames and EngineConfig's default rates."""
+        assert set(WORKLOADS) <= set(CALIBRATIONS)
 
     def test_kwargs_reach_the_workload(self):
         workload = make_workload("kv", skew=1.2, workers=3)
