@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.common.params import CYCLES_PER_TICK
 from repro.common.types import MissClass, RefDomain
 from repro.analysis.decode import TraceAnalysis, TraceAnalyzer
+from repro.sim.runcache import young_gc_only
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim._session import TracedRun
@@ -178,28 +179,34 @@ def analyze_trace(
     run: "TracedRun",
     keep_imiss_stream: bool = True,
 ) -> AnalysisReport:
-    """Run the full postprocessing pipeline on a traced run."""
-    params = run.params
-    analyzer = TraceAnalyzer(
-        run.workload_name,
-        params.num_cpus,
-        icache_bytes=params.icache.size_bytes,
-        dcache_bytes=params.dcache_l2.size_bytes,
-        layout=run.kernel.layout,
-        datamap=run.kernel.datamap,
-        block_bytes=params.block_bytes,
-        keep_imiss_stream=keep_imiss_stream,
-    )
-    # Mixed-fidelity runs: seed the reconstruction with the
-    # simulator's warm-state dump from the atomic→detailed seam.
-    analyzer.seed_seam(getattr(run, "seam_state", None))
-    analysis = analyzer.analyze(
-        run.trace, stats_from_tick=run.measure_from_cycles // CYCLES_PER_TICK
-    )
-    check_report = getattr(run, "check_report", None)
-    counters = dict(check_report.counters) if check_report else None
-    return AnalysisReport(
-        analysis,
-        bus_stall_cycles=params.bus_stall_cycles,
-        check_counters=counters,
-    )
+    """Run the full postprocessing pipeline on a traced run.
+
+    Only young collections run meanwhile: the decode builds hundreds of
+    thousands of objects and no cycle among them, so a full collection
+    would walk them and every live engine and free nothing.
+    """
+    with young_gc_only():
+        params = run.params
+        analyzer = TraceAnalyzer(
+            run.workload_name,
+            params.num_cpus,
+            icache_bytes=params.icache.size_bytes,
+            dcache_bytes=params.dcache_l2.size_bytes,
+            layout=run.kernel.layout,
+            datamap=run.kernel.datamap,
+            block_bytes=params.block_bytes,
+            keep_imiss_stream=keep_imiss_stream,
+        )
+        # Mixed-fidelity runs: seed the reconstruction with the
+        # simulator's warm-state dump from the atomic→detailed seam.
+        analyzer.seed_seam(getattr(run, "seam_state", None))
+        analysis = analyzer.analyze(
+            run.trace, stats_from_tick=run.measure_from_cycles // CYCLES_PER_TICK
+        )
+        check_report = getattr(run, "check_report", None)
+        counters = dict(check_report.counters) if check_report else None
+        return AnalysisReport(
+            analysis,
+            bus_stall_cycles=params.bus_stall_cycles,
+            check_counters=counters,
+        )

@@ -15,6 +15,7 @@ characterize operand sizes (Table 7) straight from the trace.
 
 from __future__ import annotations
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.kernel.structures import PFDAT_BYTES
 
 KIND_COPY = 0
@@ -33,7 +34,7 @@ _LOOP_REFETCH_BYTES = 512
 _BYPASS_TRANSFER_BYTES = 64
 
 
-class BlockOps:
+class BlockOps(HoldsBackRefs):
     """The three sweep kernels.
 
     Two of the paper's proposed optimizations (Section 4.2.2, "Removing
@@ -48,6 +49,8 @@ class BlockOps:
 
     ``examples/`` and the ablation experiments measure their effect.
     """
+
+    k = BackRef()
 
     def __init__(self, kernel, cache_bypass: bool = False,
                  prefetch: bool = False):

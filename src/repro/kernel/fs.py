@@ -24,6 +24,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.kernel.structures import NBUF, NINODE, StructName
 from repro.kernel.vm import USE_BUFFER
 
@@ -109,8 +110,10 @@ class Disk:
         return len(self._queue)
 
 
-class BufferCache:
+class BufferCache(HoldsBackRefs):
     """The block buffer cache: NBUF headers, one data frame per 4 buffers."""
+
+    k = BackRef()
 
     def __init__(self, kernel):
         self.k = kernel
@@ -215,8 +218,10 @@ class BufferCache:
         return len(self._entries)
 
 
-class FsSubsystem:
+class FsSubsystem(HoldsBackRefs):
     """System-call-level file operations."""
+
+    k = BackRef()
 
     def __init__(self, kernel, disk_rng):
         self.k = kernel

@@ -13,6 +13,7 @@ on ``MachineParams.device_cpu`` (CPU 0); network functions run on
 
 from __future__ import annotations
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.common.types import InterruptKind
 from repro.kernel.structures import StructName
 
@@ -24,8 +25,10 @@ _SCHEDPRIO_PERIOD = 4
 _SCHEDPRIO_SWEEP = 24
 
 
-class Interrupts:
+class Interrupts(HoldsBackRefs):
     """The interrupt handlers, each a code walk plus structure touches."""
+
+    k = BackRef()
 
     def __init__(self, kernel):
         self.k = kernel

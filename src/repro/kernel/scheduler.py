@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.kernel.process import ProcState, Process
 from repro.kernel.structures import PCB_BYTES
 
@@ -34,8 +35,10 @@ _KSTACK_TOUCH_BYTES = 256
 _BALANCE_SLACK = 2
 
 
-class Scheduler:
+class Scheduler(HoldsBackRefs):
     """Run queue(s) + dispatch."""
+
+    k = BackRef()
 
     def __init__(self, kernel, affinity: bool = False, num_queues: int = 1):
         self.k = kernel

@@ -17,14 +17,17 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.kernel.process import Image, ProcState, Process
 
 # Small copies of strings / syscall parameters (Table 7's irregular rows).
 _PARAM_COPY_BYTES = 64
 
 
-class Syscalls:
+class Syscalls(HoldsBackRefs):
     """The system-call surface the workload drivers use."""
+
+    k = BackRef()
 
     def __init__(self, kernel):
         self.k = kernel

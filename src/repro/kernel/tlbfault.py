@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.cpu.tlb import TlbEntry
 from repro.kernel.process import DATA_VBASE, TEXT_VBASE, Process
 from repro.kernel.vm import USE_DATA, USE_TEXT
@@ -32,8 +33,10 @@ from repro.kernel.vm import USE_DATA, USE_TEXT
 UTLB_OP_CODE = 100
 
 
-class TlbFaults:
+class TlbFaults(HoldsBackRefs):
     """The fault paths."""
+
+    k = BackRef()
 
     def __init__(self, kernel):
         self.k = kernel

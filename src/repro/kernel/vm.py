@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.common.backref import BackRef, HoldsBackRefs
 
 # What a frame is currently used for.
 USE_DATA = "data"      # (pid, vpage)
@@ -41,8 +42,10 @@ class VmTuning:
     scan_entries_per_frame: int = 4  # pfdat descriptors scanned per steal
 
 
-class VmSubsystem:
+class VmSubsystem(HoldsBackRefs):
     """Frame allocation and reclaim, with the paper's reference footprint."""
+
+    k = BackRef()
 
     def __init__(self, kernel, tuning: Optional[VmTuning] = None):
         self.k = kernel

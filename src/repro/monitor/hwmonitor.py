@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.memsys.bus import OP_READ, OP_UNCACHED, OP_WRITE, Bus
 
 __all__ = [
@@ -66,7 +67,7 @@ class BufferOverflow(RuntimeError):
     """The trace buffer filled before the master could dump it."""
 
 
-class HardwareMonitor:
+class HardwareMonitor(HoldsBackRefs):
     """Attachable bus snooper with a bounded trace buffer.
 
     ``strict_capacity`` makes the buffer behave like the real hardware —
@@ -75,6 +76,8 @@ class HardwareMonitor:
     needed. The default is forgiving (the entry is still recorded) so
     analysis never silently loses data.
     """
+
+    bus = BackRef()
 
     def __init__(
         self,

@@ -25,11 +25,15 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.sanitizers.report import Violation
 
 
-class CoherenceChecker:
+class CoherenceChecker(HoldsBackRefs):
     """Asserts snooping-protocol invariants on :class:`MemorySystem`."""
+
+    registry = BackRef()
+    memsys = BackRef()
 
     def __init__(self, registry):
         self.registry = registry

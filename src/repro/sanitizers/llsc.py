@@ -29,11 +29,15 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.sanitizers.report import Violation
 
 
-class LLSCChecker:
+class LLSCChecker(HoldsBackRefs):
     """Shadow-model validation of :class:`CachedLockSimulator`."""
+
+    registry = BackRef()
+    locks = BackRef()
 
     def __init__(self, registry):
         self.registry = registry

@@ -33,6 +33,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.sanitizers.report import Violation
 
 # Frames from these files are lock-plumbing, not acquisition sites.
@@ -88,8 +89,10 @@ class LockOrderEdge:
                 f"(cpu{self.cpu} @{self.cycles})")
 
 
-class LockDep:
+class LockDep(HoldsBackRefs):
     """Online lock-order graph + held-lock assertions."""
+
+    registry = BackRef()
 
     def __init__(self, registry, num_cpus: int):
         self.registry = registry

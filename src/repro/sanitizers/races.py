@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.backref import BackRef, HoldsBackRefs
 from repro.kernel.structures import (
     NPROC,
     PROC_ENTRY_BYTES,
@@ -103,8 +104,11 @@ class _Allow:
         return False
 
 
-class RaceChecker:
+class RaceChecker(HoldsBackRefs):
     """Flags structure accesses made without their protecting lock."""
+
+    registry = BackRef()
+    kernel = BackRef()
 
     def __init__(self, registry, datamap, num_cpus: int):
         self.registry = registry

@@ -41,6 +41,7 @@ from repro.sanitizers import (
     deep_check_enabled_by_env,
 )
 from repro.sim.config import CALIBRATIONS
+from repro.sim.runcache import young_gc_only
 from repro.sim.usermode import UserEngine
 from repro.workloads import Workload, canonical_workload_args, make_workload
 
@@ -343,32 +344,38 @@ class Simulation:
         return self._run_loop()
 
     def _run_loop(self) -> TracedRun:
-        """Drain the event heap to the horizon; resumable at any pop."""
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            cpu = entry[2]
-            proc = self.processors[cpu]
-            if proc.cycles >= self.horizon_cycles:
-                continue  # this CPU is done; drain the rest
-            if self._loop_hooks:
-                self._pending_entry = entry
-                self._loop_hook(proc)
-            self._step(cpu)
-            self._seq += 1
-            heapq.heappush(heap, (proc.cycles, self._seq, cpu))
-        end = max(proc.cycles for proc in self.processors)
-        self.master.finish(end)
-        if self.checks is not None:
-            self.checks.finalize(end)
-        return TracedRun(
-            self.workload.name, self.params, self.monitor.trace, self,
-            measure_from_cycles=self._warmup_cycles,
-            fidelity=self.fidelity,
-            seam_cycles=self.seam_cycles,
-            fast_forwarded_refs=self.memsys.atomic_refs,
-            seam_state=self.seam_state,
-        )
+        """Drain the event heap to the horizon; resumable at any pop.
+
+        Only young collections run meanwhile: the engine makes no cyclic
+        garbage of its own, so a full collection would walk every live
+        engine and free nothing.
+        """
+        with young_gc_only():
+            heap = self._heap
+            while heap:
+                entry = heapq.heappop(heap)
+                cpu = entry[2]
+                proc = self.processors[cpu]
+                if proc.cycles >= self.horizon_cycles:
+                    continue  # this CPU is done; drain the rest
+                if self._loop_hooks:
+                    self._pending_entry = entry
+                    self._loop_hook(proc)
+                self._step(cpu)
+                self._seq += 1
+                heapq.heappush(heap, (proc.cycles, self._seq, cpu))
+            end = max(proc.cycles for proc in self.processors)
+            self.master.finish(end)
+            if self.checks is not None:
+                self.checks.finalize(end)
+            return TracedRun(
+                self.workload.name, self.params, self.monitor.trace, self,
+                measure_from_cycles=self._warmup_cycles,
+                fidelity=self.fidelity,
+                seam_cycles=self.seam_cycles,
+                fast_forwarded_refs=self.memsys.atomic_refs,
+                seam_state=self.seam_state,
+            )
 
     def continue_run(self, horizon_ms: Optional[float] = None) -> TracedRun:
         """Resume a restored :class:`EngineCheckpoint` to the horizon.

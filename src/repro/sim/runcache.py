@@ -37,7 +37,8 @@ Safety properties:
   past the stale-lock horizon.
 
 Pickling or unpickling a whole engine runs under :func:`young_gc_only`,
-so the collector's full collections do not walk a half-built payload.
+so the collector's full collections do not walk a half-built payload;
+so do a simulation's run loop and its analysis.
 """
 
 from __future__ import annotations
@@ -121,12 +122,15 @@ def _package_version() -> str:
 
 
 # ----------------------------------------------------------------------
-# Young-generation GC around engine (un)pickling
+# Young-generation GC around engine (un)pickling, runs and analyses
 # ----------------------------------------------------------------------
 # Unpickling an engine creates up to 1.4M tracked objects (oracle's run
 # at 5 ms after 30 ms), and pickling one walks as many. A full
 # collection started meanwhile walks that half-built graph and frees
-# nothing, since all of it is reachable. Young collections stay on:
+# nothing, since all of it is reachable. The same holds inside
+# Simulation._run_loop and analyze_trace: a finished engine dies by
+# refcount (repro.common.backref), so there is no cyclic garbage for a
+# full collection to find. Young collections stay on:
 # they untrack the int-only tuples in batches small enough to stay in
 # the CPU cache, where switching the collector off would leave them all
 # to the first collection after the block. The thresholds are global to

@@ -11,6 +11,9 @@ so editing the simulator invalidates them automatically. Set
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 import pytest
 
 from repro.common.params import MachineParams
@@ -51,6 +54,41 @@ def cli_settings(monkeypatch):
         return excinfo.value.args[0]
 
     return settings_for
+
+
+@pytest.fixture
+def odd_thresholds():
+    """Distinctive GC thresholds, so a restore to the defaults shows."""
+    original = gc.get_threshold()
+    gc.set_threshold(691, 9, 11)
+    try:
+        yield (691, 9, 11)
+    finally:
+        gc.set_threshold(*original)
+
+
+@pytest.fixture
+def gc_collections():
+    """``with gc_collections() as counts:`` counts the collections
+    started inside the block, by generation, after a full collection
+    that zeroes the collector's own counters."""
+
+    @contextmanager
+    def counting():
+        counts = [0, 0, 0]
+
+        def record(phase, info):
+            if phase == "start":
+                counts[info["generation"]] += 1
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            yield counts
+        finally:
+            gc.callbacks.remove(record)
+
+    return counting
 
 
 @pytest.fixture

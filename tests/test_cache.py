@@ -1,6 +1,5 @@
 """Cache model: direct-mapped and set-associative behaviour."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.params import CacheGeometry

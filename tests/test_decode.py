@@ -111,8 +111,6 @@ class TestInvocations:
         # Kernel counts every os_invocation() including nested ones and
         # UTLB faults; the analyzer's outermost invocations + UTLB
         # spikes + nested entries must add up.
-        from repro.kernel.tlbfault import UTLB_OP_CODE
-
         kernel_total = run.kernel.os_invocations + run.kernel.tlbfaults.utlb_faults
         analyzer_total = sum(report.analysis.op_counts.values()) - sum(
             count for label, count in report.analysis.op_counts.items()

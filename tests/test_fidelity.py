@@ -88,19 +88,14 @@ class TestCheckpointRoundTrip:
         cut = params.ms_to_cycles(WARMUP + HORIZON / 2)
         self._roundtrip(reference, checkpoint_at=cut)
 
-    def test_capture_and_restore_keep_gc_thresholds(self, reference):
+    def test_capture_and_restore_keep_gc_thresholds(
+        self, reference, odd_thresholds
+    ):
         """Capture and restore pickle under young-only GC, and leave the
         collector's thresholds as they found them."""
-        original = gc.get_threshold()
-        gc.set_threshold(691, 9, 11)
-        try:
-            params = Simulation("pmake", seed=SEED).params
-            self._roundtrip(
-                reference, checkpoint_at=params.ms_to_cycles(WARMUP) // 2
-            )
-            assert gc.get_threshold() == (691, 9, 11) and gc.isenabled()
-        finally:
-            gc.set_threshold(*original)
+        params = Simulation("pmake", seed=SEED).params
+        self._roundtrip(reference, checkpoint_at=params.ms_to_cycles(WARMUP) // 2)
+        assert gc.get_threshold() == odd_thresholds and gc.isenabled()
 
     def test_cut_mid_lock_spin(self, reference):
         """Cut while a lock hold interval is open against a slower CPU —

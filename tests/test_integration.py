@@ -1,7 +1,5 @@
 """Full-system integration invariants across all three workloads."""
 
-import pytest
-
 from repro.analysis.report import analyze_trace
 from repro.common.types import MissClass, Mode, RefDomain
 from repro.kernel.process import ProcState

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.params import MachineParams
 from repro.cpu.processor import Processor
 from repro.kernel.locks import LOCK_FUNCTIONS, LockTable
 from repro.memsys.system import MemorySystem

@@ -1,7 +1,5 @@
 """Lock statistics reporting (Tables 10/12, Figure 11 inputs)."""
 
-import pytest
-
 from repro.analysis.lockstats import (
     failed_acquires_per_ms,
     lock_table_rows,

@@ -11,8 +11,6 @@ world before presets existed.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro import api
@@ -149,11 +147,19 @@ class TestClockStagger:
         ]
 
 
+class _KernelStandIn:
+    """Just the kernel's ``params``. A plain class, not a SimpleNamespace:
+    the scheduler holds its kernel by weak reference."""
+
+    def __init__(self, params):
+        self.params = params
+
+
 class TestRunQueueHashing:
     @pytest.mark.parametrize("name", ["cpus8", "cpus16", "cpus32", "cpus64"])
     def test_every_queue_serves_a_cluster(self, name):
         preset = MACHINES[name]
-        kernel = SimpleNamespace(params=preset.params)
+        kernel = _KernelStandIn(preset.params)
         sched = Scheduler(kernel, num_queues=preset.run_queues)
         mapping = [
             sched.queue_of_cpu(cpu) for cpu in range(preset.params.num_cpus)

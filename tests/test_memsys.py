@@ -1,9 +1,6 @@
 """MemorySystem: coherence, classification hooks, stall costs, flushes."""
 
-import pytest
-
 from repro.common.types import MissClass, RefDomain
-from repro.memsys.system import MemorySystem
 from repro.memsys.tracking import DATA, INSTR
 
 OS = RefDomain.OS

@@ -1,7 +1,5 @@
 """Property-based tests on the memory system's coherence and accounting."""
 
-from collections import Counter
-
 from hypothesis import given, settings, strategies as st
 
 from repro.common.params import CacheGeometry, MachineParams

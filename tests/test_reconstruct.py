@@ -1,6 +1,5 @@
 """Trace-side cache reconstruction and its equivalence to a real cache."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.params import CacheGeometry

@@ -373,36 +373,15 @@ class TestClaimLock:
         assert "dedup" not in cache.stats_line()
 
 
-@pytest.fixture
-def odd_thresholds():
-    """Distinctive GC thresholds, so a restore to the defaults shows."""
-    original = gc.get_threshold()
-    gc.set_threshold(691, 9, 11)
-    try:
-        yield (691, 9, 11)
-    finally:
-        gc.set_threshold(*original)
-
-
 class TestYoungGcOnly:
     """(Un)pickling runs only young collections, and always restores the
     collector's thresholds, whatever happens inside."""
 
-    def test_load_runs_no_older_collection(self, cache):
+    def test_load_runs_no_older_collection(self, cache, gc_collections):
         key = "run-" + "1" * 40
         assert cache.store(key, {"rows": [{"i": [i]} for i in range(60_000)]})
-        counts = [0, 0, 0]  # collections started, by generation
-
-        def record(phase, info):
-            if phase == "start":
-                counts[info["generation"]] += 1
-
-        gc.collect()
-        gc.callbacks.append(record)
-        try:
+        with gc_collections() as counts:
             payload = cache.load(key)
-        finally:
-            gc.callbacks.remove(record)
         assert len(payload["rows"]) == 60_000
         assert counts[0] > 0, "young collections must keep running"
         assert counts[1:] == [0, 0], counts

@@ -74,8 +74,6 @@ class TestContextSwitch:
 
     def test_switch_touches_pcb_of_both(self, env):
         kernel, cpus, procs = env
-        from repro.kernel.structures import StructName
-
         kernel.scheduler.setrq(cpus[0], procs[0])
         kernel.scheduler.dispatch(cpus[0])
         kernel.scheduler.setrq(cpus[0], procs[1])

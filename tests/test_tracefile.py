@@ -1,7 +1,5 @@
 """Trace persistence round-trips."""
 
-import pytest
-
 from repro.monitor.hwmonitor import Trace, TraceSegment
 from repro.monitor.tracefile import load_trace, save_trace
 
@@ -39,7 +37,6 @@ class TestRoundTrip:
 
     def test_real_trace_roundtrip_and_reanalysis(self, tmp_path, pmake_run):
         """A captured trace analyzed from disk gives identical results."""
-        from repro.analysis.report import analyze_trace
         from repro.analysis.decode import TraceAnalyzer
 
         path = tmp_path / "pmake.npz"

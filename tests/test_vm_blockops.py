@@ -5,7 +5,6 @@ import pytest
 from repro.common.types import Mode
 from repro.kernel.vm import USE_DATA, USE_TEXT
 from tests.test_kernel_core import make_kernel
-from repro.kernel.process import ProcState
 
 
 @pytest.fixture

@@ -10,10 +10,7 @@ from repro.workloads import (
     register_workload, workload_arg_names,
 )
 from repro.workloads.kv import KvWorkload
-from repro.workloads.multpgm import MultpgmWorkload
 from repro.workloads.netserver import NetserverWorkload
-from repro.workloads.oracle import OracleWorkload
-from repro.workloads.pmake import PmakeWorkload
 
 ALL_WORKLOADS = ("pmake", "multpgm", "oracle", "kv", "netserver")
 
