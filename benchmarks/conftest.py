@@ -71,21 +71,20 @@ def run_exhibit(benchmark, ctx, exhibit_id: str):
     """Benchmark one exhibit build over ``ROUNDS`` rounds; print its table.
 
     Each round is the build ``repro-experiments run`` makes
-    (:func:`~repro.experiments.parallel.build_exhibit`) on a fresh
-    context seeded with the session's runs and no run cache, so every
-    round does the same work: it derives from the base runs and
-    simulates every other run the exhibit reads (sweep points, ablation
-    variants).
+    (:meth:`ExperimentContext.build_exhibit`) on a fresh context seeded with the
+    session's runs and no run cache, so every round does the same work:
+    it derives from the base runs and simulates every other run the
+    exhibit reads (sweep points, ablation variants).
     """
-    from repro.experiments.parallel import build_exhibit
-
     runs = dict(ctx._runs)
 
     def fresh_round():
-        return (exhibit_id, ctx.settings, None, dict(runs), False), {}
+        fresh = ExperimentContext(ctx.settings)
+        fresh._runs.update(runs)
+        return (fresh, exhibit_id), {}
 
     build = benchmark.pedantic(
-        build_exhibit, setup=fresh_round, rounds=ROUNDS, iterations=1
+        ExperimentContext.build_exhibit, setup=fresh_round, rounds=ROUNDS, iterations=1
     )
     print()
     print(build.exhibit.to_text())

@@ -26,9 +26,9 @@ Quickstart (the stable entry point is :mod:`repro.api`)::
 
     from repro import api
 
-    run = api.run("pmake", horizon_ms=50.0, seed=1)
+    run = api.run("pmake", horizon_ms=5.0, warmup_ms=30.0, seed=1)
     report = api.report("pmake", run=run)
-    print(report.stall.os_stall_fraction)
+    print(report.os_stall_pct)
 """
 
 from repro.common.params import MachineParams

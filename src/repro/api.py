@@ -203,8 +203,6 @@ def exhibit(
     service's ``GET /exhibits/table1`` body. Pass ``cache=False`` to
     force a fresh build, or share a prepared ``ctx`` across calls.
     """
-    from repro.experiments.registry import run_experiment
-
     if ctx is None:
         valid = frozenset(RunSettings.__dataclass_fields__)
         unknown = sorted(set(settings) - valid)
@@ -220,7 +218,7 @@ def exhibit(
         ctx = ExperimentContext(resolve_settings(settings), cache=cache)
     elif settings or cache is not None:
         raise TypeError("pass either ctx= or settings/cache, not both")
-    return run_experiment(exhibit_id, ctx)
+    return ctx.exhibit(exhibit_id)
 
 
 def list_exhibits() -> "list[dict]":

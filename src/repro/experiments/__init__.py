@@ -14,7 +14,6 @@ or a single one::
 """
 
 from repro.experiments._base import Exhibit, ExperimentContext, RunSettings
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 
 __all__ = [
     "Exhibit",
@@ -24,3 +23,14 @@ __all__ = [
     "get_experiment",
     "run_experiment",
 ]
+
+
+def __getattr__(name: str):
+    # The registry imports every experiment module: load it on first
+    # use, so that importing the package (every run-cache load imports
+    # RunSettings from it) imports no experiment.
+    if name in ("EXPERIMENTS", "get_experiment", "run_experiment"):
+        from repro.experiments import registry
+
+        return getattr(registry, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,4 +1,5 @@
-"""Experiment infrastructure: run settings, shared runs and exhibit formatting."""
+"""Experiment infrastructure: run settings, shared runs, the one exhibit
+path and exhibit formatting."""
 
 from __future__ import annotations
 
@@ -7,10 +8,11 @@ import json
 import os
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple, Union,
 )
 
-from repro.analysis.report import AnalysisReport
+from repro.analysis.report import AnalysisReport, analyze_trace
 from repro.fidelity import (
     FIDELITY_LEVELS, validate_fast_forward, validate_fidelity,
 )
@@ -18,7 +20,9 @@ from repro.machines import (
     DEFAULT_MACHINE, MACHINES, MachineSpec, canonical_machine, machine_for_cpus,
     resolve_machine,
 )
-from repro.sanitizers import check_enabled_by_env, deep_check_enabled_by_env
+from repro.sanitizers import (
+    CheckReport, check_enabled_by_env, deep_check_enabled_by_env,
+)
 from repro.sim.runcache import RunCache, load_or_run
 from repro.sim._session import Simulation, TracedRun, default_tuning
 from repro.workloads import (
@@ -336,8 +340,56 @@ def resolve_settings(
     return settings
 
 
+class CheckVerdict(NamedTuple):
+    """What ``--check`` reports of one checked run, small enough for a
+    pool worker to return in place of the run."""
+
+    report: CheckReport
+    crosscheck: Tuple[str, ...]  # prefixed with the run's workload
+    crosscheck_ok: bool
+
+
+class ExhibitBuild(NamedTuple):
+    """What :meth:`ExperimentContext.build_exhibit` returns."""
+
+    exhibit: "Exhibit"
+    counters: Dict[str, int]  # run-cache counters moved, for add_stats()
+    verdicts: List[CheckVerdict]
+
+
+def check_verdicts(pairs: Iterable) -> List[CheckVerdict]:
+    """The verdict of each checked run in ``(run, report)`` ``pairs``: its
+    sanitizer report, and the checker's bus accounting crosschecked
+    against the monitor's recorded transactions in the run's analysis
+    report. Only a run paired with no report is analyzed here."""
+    verdicts = []
+    for run, report in pairs:
+        if run.check_report is not None:
+            if report is None:
+                report = analyze_trace(run, keep_imiss_stream=False)
+            lines = tuple(
+                f"  {run.workload_name}: {line}"
+                for line in report.crosscheck_lines()
+            )
+            verdicts.append(
+                CheckVerdict(run.check_report, lines, report.crosscheck_ok())
+            )
+    return verdicts
+
+
+def _experiment(exhibit_id: str) -> Tuple[str, Any]:
+    """The canonical id and the module of a registered exhibit or alias;
+    ValueError naming the choices for any other id."""
+    # The registry imports every experiment module: import it on first
+    # use, so importing this module stays light.
+    from repro.experiments.registry import get_experiment, resolve_exhibit_id
+
+    return resolve_exhibit_id(exhibit_id), get_experiment(exhibit_id)
+
+
 class ExperimentContext:
-    """Holds one traced run + analysis per workload per settings.
+    """Holds one traced run + analysis per workload per settings, and
+    each exhibit built or loaded at those settings.
 
     One map, keyed by workload and resolved :class:`RunSettings`, holds
     each ``(run, report)`` pair that :meth:`run` and :meth:`report`
@@ -345,6 +397,12 @@ class ExperimentContext:
     fresh process reloads finished runs instead of re-simulating them.
     A context with a warm disk cache hands out runs and reports
     byte-identical to a cold serial context.
+
+    The context is also the one exhibit path: the CLI, the pool
+    workers, the service and the charts obtain every exhibit through
+    :meth:`exhibit` (or :meth:`lookup_exhibit`, then
+    :meth:`build_exhibit`), which keep it in :attr:`exhibit_cache` and,
+    when :attr:`cache_exhibits` is set, on disk.
     """
 
     def __init__(
@@ -449,22 +507,77 @@ class ExperimentContext:
         return run
 
     # -- exhibit layer -------------------------------------------------
-    def load_cached_exhibit(self, exhibit_id: str) -> Optional["Exhibit"]:
-        """A previously-built exhibit from the disk cache, if any."""
+    def exhibit(self, exhibit_id: str) -> "Exhibit":
+        """Exhibit ``exhibit_id`` (or an alias) at this context's
+        settings: from :meth:`lookup_exhibit` if it is built, else from
+        :meth:`build_exhibit`."""
+        exhibit = self.lookup_exhibit(exhibit_id)
+        if exhibit is None:
+            exhibit = self.build_exhibit(exhibit_id).exhibit
+        return exhibit
+
+    def lookup_exhibit(self, exhibit_id: str) -> Optional["Exhibit"]:
+        """The built exhibit from the memo or, when :attr:`cache_exhibits`
+        is set, from the disk cache (then memoized); None if it must be
+        built. An unknown id raises before any cache I/O."""
+        exhibit_id, _module = _experiment(exhibit_id)
+        if exhibit_id in self.exhibit_cache:
+            return self.exhibit_cache[exhibit_id]
         if self.cache is None or not self.cache_exhibits:
             return None
         payload = self.cache.load(self.cache.exhibit_key(exhibit_id, self.settings))
-        if payload is None:
+        exhibit = (payload or {}).get("exhibit")
+        if not isinstance(exhibit, Exhibit):
             return None
-        exhibit = payload.get("exhibit")
-        return exhibit if isinstance(exhibit, Exhibit) else None
+        self.exhibit_cache[exhibit_id] = exhibit
+        return exhibit
 
-    def store_cached_exhibit(self, exhibit_id: str, exhibit: "Exhibit") -> None:
-        if self.cache is not None and self.cache_exhibits:
-            self.cache.store(
-                self.cache.exhibit_key(exhibit_id, self.settings),
-                {"exhibit": exhibit},
+    def build_exhibit(self, exhibit_id: str) -> ExhibitBuild:
+        """Build the exhibit through its module's ``build``, without
+        looking it up first (callers have), then store and memoize it.
+
+        Returns the exhibit, the run-cache counters the build moved and
+        the verdicts of the checked runs it obtained. Afterwards, even
+        after a failed build, the context holds the runs it held before
+        plus the base runs at its settings: every other run the build
+        obtained (sweep points, variants) dies with it.
+        """
+        from repro.experiments.paperdata import WORKLOADS
+
+        exhibit_id, module = _experiment(exhibit_id)
+        held = set(self._runs)
+        kept = held | {(workload, self.settings) for workload in WORKLOADS}
+        private = len(self.private_runs)
+        before = self.cache.stats() if self.cache is not None else {}
+        try:
+            exhibit = module.build(self)
+            if self.cache is not None and self.cache_exhibits:
+                self.cache.store(
+                    self.cache.exhibit_key(exhibit_id, self.settings),
+                    {"exhibit": exhibit},
+                )
+            self.exhibit_cache[exhibit_id] = exhibit
+            verdicts = check_verdicts(
+                [pair for key, pair in self._runs.items() if key not in held]
+                + self.private_runs[private:]
             )
+        finally:
+            for key in [key for key in self._runs if key not in kept]:
+                del self._runs[key]
+            del self.private_runs[private:]
+        counters = self.cache.moved_since(before) if self.cache is not None else {}
+        return ExhibitBuild(exhibit, counters, verdicts)
+
+    def keep_exhibit(
+        self, exhibit_id: str, exhibit: "Exhibit",
+        counters: Optional[Mapping[str, int]] = None,
+    ) -> None:
+        """Memoize an exhibit built on another context (a pool worker's,
+        a service job's) and count the run-cache traffic its build
+        moved, so :meth:`RunCache.stats` covers it."""
+        self.exhibit_cache[_experiment(exhibit_id)[0]] = exhibit
+        if counters and self.cache is not None:
+            self.cache.add_stats(counters)
 
 
 @dataclass

@@ -15,6 +15,7 @@ from typing import List, Optional
 
 from repro.experiments import parallel
 from repro.experiments._base import (
+    CheckVerdict,
     ExperimentContext,
     add_settings_arguments,
     resolve_settings,
@@ -105,7 +106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def _report_checks(verdicts: List[parallel.CheckVerdict]) -> int:
+def _report_checks(verdicts: List[CheckVerdict]) -> int:
     """Summarize the sanitizer verdicts of every run behind the exhibits.
 
     Summaries go to stderr (one line per run) so checked stdout stays

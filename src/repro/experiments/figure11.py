@@ -56,9 +56,8 @@ def build(ctx: ExperimentContext) -> Exhibit:
 def chart(ctx: ExperimentContext) -> str:
     """Figure 11 as contention-vs-CPUs series (reuses the built exhibit)."""
     from repro.analysis.charts import series_chart
-    from repro.experiments.registry import run_experiment
 
-    exhibit = run_experiment(EXHIBIT_ID, ctx)
+    exhibit = ctx.exhibit(EXHIBIT_ID)
     series = {row[0]: [float(v) for v in row[1:]] for row in exhibit.rows}
     return series_chart(
         list(CPU_COUNTS), series,

@@ -53,9 +53,8 @@ def build(ctx: ExperimentContext) -> Exhibit:
 
 
 def chart(ctx: ExperimentContext) -> str:
-    """Figure 2 as an ASCII bar chart."""
+    """Figure 2 as an ASCII bar chart (reads the built exhibit)."""
     from repro.analysis.charts import bar_chart
 
-    shares = operation_shares(ctx.report("multpgm").analysis)
-    items = sorted(shares.items(), key=lambda kv: -kv[1])
+    items = [(row[0], row[2]) for row in ctx.exhibit(EXHIBIT_ID).rows]
     return bar_chart(items, title="OS operation mix in Multpgm", unit="%")

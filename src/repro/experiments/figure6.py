@@ -59,27 +59,21 @@ def build(ctx: ExperimentContext) -> Exhibit:
 
 
 def chart(ctx: ExperimentContext) -> str:
-    """Figure 6 as per-workload relative miss-rate series."""
+    """Figure 6 as per-workload relative miss-rate series (reads the
+    built exhibit)."""
     from repro.analysis.charts import series_chart
 
+    rows = ctx.exhibit(EXHIBIT_ID).rows
     blocks = []
     for workload in paperdata.WORKLOADS:
-        series = relative_series(sweep_workload(ctx, workload))
-        dm = {
-            f"{size // 1024}KB": series[(size, 1)][0]
-            for size in SIZES if (size, 1) in series
-        }
-        two_way = {
-            f"{size // 1024}KB": series[(size, 2)][0]
-            for size in SIZES if (size, 2) in series
-        }
-        blocks.append(series_chart(
-            list(dm),
-            {"direct-mapped": list(dm.values())},
-            title=f"{workload}: OS I-miss rate relative to 64KB DM",
-        ))
-        blocks.append(series_chart(
-            list(two_way),
-            {"two-way": list(two_way.values())},
-        ))
+        title = f"{workload}: OS I-miss rate relative to 64KB DM"
+        for assoc, name in ((1, "direct-mapped"), (2, "two-way")):
+            series = {
+                f"{row[1]}KB": row[3] for row in rows
+                if row[0] == workload and row[2] == assoc
+            }
+            blocks.append(series_chart(
+                list(series), {name: list(series.values())}, title=title
+            ))
+            title = ""
     return "\n".join(blocks)

@@ -11,6 +11,8 @@ EXHIBIT_ID = "figure8"
 TITLE = "OS Sharing misses by data structure"
 
 _COLUMNS = ("workload", "structure", "share_of_sharing%")
+# The row after each workload's structures.
+_PRIVATE_TOTAL = "[private state total]"
 
 
 def structure_shares(analysis) -> dict:
@@ -39,9 +41,7 @@ def build(ctx: ExperimentContext) -> Exhibit:
         for struct, share in sorted(shares.items(), key=lambda kv: -kv[1]):
             if share >= 1.0:
                 exhibit.add_row(workload, struct.value, share)
-        exhibit.add_row(
-            workload, "[private state total]", private_state_share(analysis)
-        )
+        exhibit.add_row(workload, _PRIVATE_TOTAL, private_state_share(analysis))
     low, high = paperdata.FIGURE8["private_state_share_range_pct"]
     exhibit.note(
         f"paper: per-process private state accounts for {low:.0f}-{high:.0f}% "
@@ -51,16 +51,15 @@ def build(ctx: ExperimentContext) -> Exhibit:
 
 
 def chart(ctx: ExperimentContext) -> str:
-    """Figure 8 as per-workload bar charts."""
+    """Figure 8 as per-workload bar charts (reads the built exhibit)."""
     from repro.analysis.charts import bar_chart
 
+    rows = ctx.exhibit(EXHIBIT_ID).rows
     blocks = []
     for workload in paperdata.WORKLOADS:
-        shares = structure_shares(ctx.report(workload).analysis)
         items = [
-            (struct.value, share)
-            for struct, share in sorted(shares.items(), key=lambda kv: -kv[1])
-            if share >= 1.0
+            (row[1], row[2]) for row in rows
+            if row[0] == workload and row[1] != _PRIVATE_TOTAL
         ]
         blocks.append(bar_chart(
             items, title=f"{workload}: Sharing misses by structure", unit="%"

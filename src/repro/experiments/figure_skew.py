@@ -111,9 +111,8 @@ def build(ctx: ExperimentContext) -> Exhibit:
 def chart(ctx: ExperimentContext) -> str:
     """Hit rate and lock traffic vs skew (reuses the built exhibit)."""
     from repro.analysis.charts import series_chart
-    from repro.experiments.registry import run_experiment
 
-    exhibit = run_experiment(EXHIBIT_ID, ctx)
+    exhibit = ctx.exhibit(EXHIBIT_ID)
     kv_rows = [row for row in exhibit.rows if row[0] == "kv"]
     skews = [str(row[1]) for row in kv_rows]
     series = {

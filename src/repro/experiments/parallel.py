@@ -1,19 +1,21 @@
-"""The one exhibit build, and the parallel runner around it.
+"""The parallel runner around the one exhibit path.
 
-:func:`build_exhibit` is how ``repro-experiments run`` and the service
-build an exhibit: on a fresh :class:`ExperimentContext` seeded with the
-runs its caller hands in, so the runs one build adds (sweep points,
-ablation variants) die with it. :func:`run_exhibits` calls it in this
-process at ``jobs=1`` or for a single exhibit; otherwise it fans the
-work across a :mod:`multiprocessing` pool:
+Every exhibit is looked up, built, stored and kept by
+:class:`ExperimentContext` (:meth:`~ExperimentContext.lookup_exhibit`,
+:meth:`~ExperimentContext.build_exhibit`), whose builds keep only the
+base runs they add: the sweep points and ablation variants die with
+each build. :func:`run_exhibits` builds in this process at ``jobs=1``
+or for a single exhibit; otherwise it fans the work across a
+:mod:`multiprocessing` pool:
 
 1. **Base workload simulations** — the three traced runs (pmake,
    multpgm, oracle) every exhibit derives from are simulated and
    analyzed concurrently, one worker each, and land in the caller's
    context.
-2. **Exhibit builds** — one pool task per exhibit. The pool initializer
-   hands the base runs over, and a worker returns only what the build
-   returns: no engine travels back to the parent.
+2. **Exhibit builds** — one pool task per exhibit. Each worker builds
+   on the caller's context as the pool initializer hands it over, base
+   runs included, and returns only what the build returns: no engine
+   travels back to the parent.
 
 Every simulation is deterministic given (workload, settings, seed), and
 exhibits are returned in request order, so parallel output is
@@ -25,13 +27,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.report import analyze_trace
 from repro.experiments import paperdata
-from repro.experiments._base import Exhibit, ExperimentContext
-from repro.sanitizers.report import CheckReport
-from repro.sim.runcache import RunCache
+from repro.experiments._base import (
+    CheckVerdict, ExhibitBuild, ExperimentContext, check_verdicts,
+)
+from repro.experiments.registry import get_experiment, resolve_exhibit_id
 
 
 class ParallelWorkerError(RuntimeError):
@@ -42,86 +44,6 @@ class ParallelWorkerError(RuntimeError):
     serial, or to partial results) would report wrong timings as
     successful and poison benchmark baselines.
     """
-
-
-class CheckVerdict(NamedTuple):
-    """What ``--check`` reports of one checked run, small enough for a
-    pool worker to return in place of the run."""
-
-    report: CheckReport
-    crosscheck: Tuple[str, ...]  # prefixed with the run's workload
-    crosscheck_ok: bool
-
-
-class ExhibitBuild(NamedTuple):
-    """What :func:`build_exhibit` returns."""
-
-    exhibit: Exhibit
-    counters: Dict[str, int]  # run-cache counters moved, for add_stats()
-    verdicts: List[CheckVerdict]
-
-
-def check_verdicts(pairs: Iterable) -> List[CheckVerdict]:
-    """The verdict of each checked run in ``(run, report)`` ``pairs``: its
-    sanitizer report, and the checker's bus accounting crosschecked
-    against the monitor's recorded transactions in the run's analysis
-    report. Only a run paired with no report is analyzed here."""
-    verdicts = []
-    for run, report in pairs:
-        if run.check_report is not None:
-            if report is None:
-                report = analyze_trace(run, keep_imiss_stream=False)
-            lines = tuple(
-                f"  {run.workload_name}: {line}"
-                for line in report.crosscheck_lines()
-            )
-            verdicts.append(
-                CheckVerdict(run.check_report, lines, report.crosscheck_ok())
-            )
-    return verdicts
-
-
-def _own_counters(cache: Optional[RunCache]) -> Optional[RunCache]:
-    """``cache``'s store with fresh counters: they then read what one
-    task moved, in whichever process or thread it ran."""
-    return None if cache is None else RunCache(cache.cache_dir, cache.enabled)
-
-
-def build_exhibit(
-    exhibit_id: str,
-    settings,
-    cache: Optional[RunCache] = None,
-    runs: Optional[Dict] = None,
-    cache_exhibits: bool = True,
-) -> ExhibitBuild:
-    """Build one exhibit on a fresh context seeded with ``runs`` and
-    store it, without probing the disk for it first (callers have).
-
-    Returns the exhibit, the run-cache counters the build moved (for
-    the caller to add in) and the verdicts of the checked runs the
-    context obtained itself. Afterwards ``runs`` also holds the base
-    runs the build obtained at ``settings``; every other run dies with
-    the context.
-    """
-    from repro.experiments.registry import build_experiment
-
-    runs = {} if runs is None else runs
-    handed = {id(run) for run, _report in runs.values()}
-    ctx = ExperimentContext(settings, cache=_own_counters(cache))
-    ctx.cache_exhibits = cache_exhibits
-    ctx._runs.update(runs)
-    exhibit = build_experiment(exhibit_id, ctx)
-    for key in [(w, settings) for w in paperdata.WORKLOADS]:
-        if key in ctx._runs:
-            runs.setdefault(key, ctx._runs[key])
-    return ExhibitBuild(
-        exhibit,
-        ctx.cache.stats() if ctx.cache is not None else {},
-        check_verdicts(
-            pair for pair in [*ctx._runs.values(), *ctx.private_runs]
-            if id(pair[0]) not in handed
-        ),
-    )
 
 
 def _worker_boundary(task_label: str, fn, *args):
@@ -159,27 +81,23 @@ def _simulate_base_workload(task):
 
 def _simulate_base_workload_inner(task):
     workload, settings, cache = task
-    ctx = ExperimentContext(settings, cache=_own_counters(cache))
+    ctx = ExperimentContext(settings, cache=cache)
+    before = cache.stats() if cache is not None else {}
     run, report = ctx.run(workload), ctx.report(workload)
-    return workload, run, report, ctx.cache.stats() if ctx.cache is not None else {}
+    return workload, run, report, cache.moved_since(before) if cache is not None else {}
 
 
-_worker_seed: Optional[tuple] = None
+_worker_ctx: Optional[ExperimentContext] = None
 
 
-def _init_exhibit_worker(settings, cache, cache_exhibits, base_runs):
-    global _worker_seed
-    _worker_seed = (settings, cache, cache_exhibits, base_runs)
+def _init_exhibit_worker(ctx: ExperimentContext) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
 
 
 def _build_exhibit(exhibit_id: str) -> ExhibitBuild:
-    assert _worker_seed is not None, "worker used without initializer"
-    settings, cache, cache_exhibits, base_runs = _worker_seed
-    # A copy, so no run a build adds outlives it in the worker.
-    return _worker_boundary(
-        f"exhibit {exhibit_id!r}", build_exhibit,
-        exhibit_id, settings, cache, dict(base_runs), cache_exhibits,
-    )
+    assert _worker_ctx is not None, "worker used without initializer"
+    return _worker_boundary(f"exhibit {exhibit_id!r}", _worker_ctx.build_exhibit, exhibit_id)
 
 
 # ----------------------------------------------------------------------
@@ -229,56 +147,40 @@ def run_exhibits(
     """Build ``exhibit_ids`` with up to ``jobs`` workers.
 
     Returns ``[(exhibit_id, ExhibitBuild), ...]`` in request order,
-    aliases resolved; an exhibit served from memory or disk comes with
-    no counters or verdicts. Each run obtained for the builds is
-    verdicted once: the base runs warmed for a pool, with its first
-    exhibit. Builds are handed the base runs ``ctx`` holds, so a serial
-    build simulates only what it reads, and ``ctx`` keeps every exhibit
-    and the base runs. A failed build raises
+    aliases resolved; an exhibit ``ctx`` looks up in memory or on disk
+    comes with no counters or verdicts. Each run obtained for the builds
+    is verdicted once: the base runs warmed for a pool, with its first
+    exhibit. A serial build simulates only what it reads, and ``ctx``
+    keeps every exhibit and the base runs. A failed build raises
     :class:`ParallelWorkerError` naming the exhibit, at every ``jobs``.
     """
-    from repro.experiments.registry import get_experiment, resolve_exhibit_id
-
     for exhibit_id in exhibit_ids:
         get_experiment(exhibit_id)  # validate before any expensive work
     exhibit_ids = [resolve_exhibit_id(e) for e in exhibit_ids]
     jobs = default_jobs() if jobs is None else max(1, jobs)
 
-    # Resolve what is already built (in memory or on disk) up front, so
-    # a fully warm cache never pays for base-run loading or a pool. This
-    # is the one disk probe per exhibit; builds skip it.
-    results: Dict[str, ExhibitBuild] = {}
-    todo = []
-    for exhibit_id in dict.fromkeys(exhibit_ids):
-        exhibit = ctx.exhibit_cache.get(exhibit_id) or ctx.load_cached_exhibit(exhibit_id)
-        if exhibit is None:
-            todo.append(exhibit_id)
-        else:
-            results[exhibit_id] = ExhibitBuild(exhibit, {}, [])
-    serial = jobs <= 1 or len(todo) <= 1
-    verdicts = [] if serial else warm_base_runs(ctx, jobs)
-    base_runs = {
-        (w, ctx.settings): ctx._runs[(w, ctx.settings)]
-        for w in paperdata.WORKLOADS if (w, ctx.settings) in ctx._runs
+    # Look up what is already built first, so a fully warm cache never
+    # pays for base-run loading or a pool.
+    found = {e: ctx.lookup_exhibit(e) for e in dict.fromkeys(exhibit_ids)}
+    results = {
+        e: ExhibitBuild(exhibit, {}, []) for e, exhibit in found.items()
+        if exhibit is not None
     }
-    if serial:
+    todo = [e for e in found if e not in results]
+    if jobs <= 1 or len(todo) <= 1:
         for exhibit_id in todo:
             results[exhibit_id] = _worker_boundary(
-                f"exhibit {exhibit_id!r}", build_exhibit, exhibit_id,
-                ctx.settings, ctx.cache, base_runs, ctx.cache_exhibits,
+                f"exhibit {exhibit_id!r}", ctx.build_exhibit, exhibit_id
             )
-        ctx._runs.update(base_runs)
     else:
+        verdicts = warm_base_runs(ctx, jobs)
         with multiprocessing.Pool(
             processes=min(jobs, len(todo)),
-            initializer=_init_exhibit_worker,
-            initargs=(ctx.settings, ctx.cache, ctx.cache_exhibits, base_runs),
+            initializer=_init_exhibit_worker, initargs=(ctx,),
         ) as pool:
             built = _pool_map(pool, _build_exhibit, todo, "exhibit build")
         built[0] = built[0]._replace(verdicts=verdicts + built[0].verdicts)
-        results.update(zip(todo, built))
-    for exhibit_id, build in results.items():
-        ctx.exhibit_cache[exhibit_id] = build.exhibit
-        if ctx.cache is not None:
-            ctx.cache.add_stats(build.counters)
+        for exhibit_id, build in zip(todo, built):
+            ctx.keep_exhibit(exhibit_id, build.exhibit, build.counters)
+            results[exhibit_id] = build
     return [(e, results[e]) for e in exhibit_ids]

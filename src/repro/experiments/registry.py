@@ -73,7 +73,7 @@ def exhibit_metadata(exhibit_id: str) -> Dict[str, object]:
 
     This is the exhibit *registry* view (title, kind, chart support) —
     static facts a service can list without building anything. Row data
-    comes from :func:`run_experiment`.
+    comes from :meth:`ExperimentContext.exhibit`.
     """
     module = get_experiment(exhibit_id)
     exhibit_id = resolve_exhibit_id(exhibit_id)
@@ -113,34 +113,9 @@ def get_experiment(exhibit_id: str):
 def run_experiment(
     exhibit_id: str, ctx: Optional[ExperimentContext] = None
 ) -> Exhibit:
-    """Build one exhibit (creating a context if none is shared).
-
-    Built exhibits are cached on the context, so charts and repeated
-    requests do not repeat the expensive sweeps. When the context has a
-    persistent :class:`~repro.sim.runcache.RunCache`, finished exhibit
-    tables are also kept on disk — this is what lets warm
-    ``repro-experiments run all`` invocations skip even the private
-    simulations the ablation exhibits run outside the shared context.
-    """
-    if ctx is None:
-        ctx = ExperimentContext()
-    exhibit_id = resolve_exhibit_id(exhibit_id)
-    if exhibit_id not in ctx.exhibit_cache:
-        get_experiment(exhibit_id)  # reject unknown ids before cache I/O
-        exhibit = ctx.load_cached_exhibit(exhibit_id)
-        if exhibit is None:
-            return build_experiment(exhibit_id, ctx)
-        ctx.exhibit_cache[exhibit_id] = exhibit
-    return ctx.exhibit_cache[exhibit_id]
-
-
-def build_experiment(exhibit_id: str, ctx: ExperimentContext) -> Exhibit:
-    """Build one exhibit and keep it on ``ctx`` and on disk, without
-    probing the disk cache first (for callers whose probe missed)."""
-    exhibit = get_experiment(exhibit_id).build(ctx)
-    ctx.store_cached_exhibit(exhibit_id, exhibit)
-    ctx.exhibit_cache[exhibit_id] = exhibit
-    return exhibit
+    """:meth:`ExperimentContext.exhibit` on ``ctx`` (a fresh one if none
+    is shared)."""
+    return (ctx if ctx is not None else ExperimentContext()).exhibit(exhibit_id)
 
 
 def render_chart(exhibit_id: str, ctx: ExperimentContext) -> Optional[str]:

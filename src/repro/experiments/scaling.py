@@ -82,9 +82,8 @@ def build(ctx: ExperimentContext) -> Exhibit:
 def chart(ctx: ExperimentContext) -> str:
     """The sweep as contention-vs-CPUs series (reuses the built exhibit)."""
     from repro.analysis.charts import series_chart
-    from repro.experiments.registry import run_experiment
 
-    exhibit = run_experiment(EXHIBIT_ID, ctx)
+    exhibit = ctx.exhibit(EXHIBIT_ID)
     cpus = [int(row[1]) for row in exhibit.rows]
     series = {
         lock: [float(row[3 + i]) for row in exhibit.rows]

@@ -170,27 +170,33 @@ def _graft_images(workload, live_images: Dict[str, Any]) -> None:
     objects, not the scratch machine's lookalikes. Recurses into nested
     workloads (multpgm embeds pmake) and common containers.
     """
+    for name, value in list(vars(workload).items()):
+        grafted = _graft(value, live_images)
+        if grafted is not value:
+            setattr(workload, name, grafted)
+
+
+def _graft(value, live_images: Dict[str, Any]):
+    """``value`` with each Image in it replaced by its live namesake.
+
+    A module-level function, not a closure: a closure that calls itself
+    is a reference cycle, which only a full collection would free.
+    """
     from repro.kernel.process import Image
     from repro.workloads.base import Workload
 
-    def graft(value):
-        if isinstance(value, Image):
-            return live_images.get(value.name, value)
-        if isinstance(value, Workload):
-            _graft_images(value, live_images)
-            return value
-        if isinstance(value, list):
-            return [graft(item) for item in value]
-        if isinstance(value, tuple):
-            return tuple(graft(item) for item in value)
-        if isinstance(value, dict):
-            return {key: graft(item) for key, item in value.items()}
+    if isinstance(value, Image):
+        return live_images.get(value.name, value)
+    if isinstance(value, Workload):
+        _graft_images(value, live_images)
         return value
-
-    for name, value in list(vars(workload).items()):
-        grafted = graft(value)
-        if grafted is not value:
-            setattr(workload, name, grafted)
+    if isinstance(value, list):
+        return [_graft(item, live_images) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_graft(item, live_images) for item in value)
+    if isinstance(value, dict):
+        return {key: _graft(item, live_images) for key, item in value.items()}
+    return value
 
 
 # ----------------------------------------------------------------------

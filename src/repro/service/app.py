@@ -6,16 +6,14 @@ serialization surface is testable with plain function calls; the
 asyncio transport in :mod:`repro.service.server` is a thin shell
 around :meth:`ServiceApp.handle`.
 
-Request lifecycle for ``GET /exhibits/<id>``:
+Request lifecycle for ``GET /exhibits/<id>``, looked up on the
+:class:`ExperimentContext` for the request's settings:
 
-1. **in-memory** — the exhibit was built or loaded earlier in this
-   process: serve immediately;
-2. **finished job** — a worker completed it since startup: rebuild the
-   :class:`Exhibit` from the job payload (the ``from_dict`` round-trip
-   is exact), cache in memory, serve;
-3. **disk cache** — a previous process (or a worker sharing the cache
-   directory) built it: load, cache in memory, serve;
-4. **cold** — enqueue a build job and answer ``202 Accepted`` with a
+1. **in-memory** — the context's memo holds it, loaded earlier or kept
+   from a finished job: serve immediately;
+2. **disk cache** — a previous process (or a worker sharing the cache
+   directory) built it: load, memoize, serve;
+3. **cold** — enqueue a build job and answer ``202 Accepted`` with a
    ``/jobs/<id>`` polling location — or ``503`` + ``Retry-After`` when
    the bounded queue is full.
 
@@ -33,7 +31,7 @@ from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro.experiments._base import (
-    Exhibit, ExperimentContext, RunSettings, resolve_settings,
+    ExperimentContext, RunSettings, resolve_settings,
 )
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -169,8 +167,8 @@ class ServiceMetrics:
 
 
 class ServiceApp:
-    """Routes requests; serves exhibits from memory, finished jobs or
-    the disk cache, and queues a build job for the rest."""
+    """Routes requests; serves exhibits from memory or the disk cache,
+    and queues a build job for the rest."""
 
     def __init__(self, config: Optional[ServiceConfig] = None,
                  jobs: Optional[JobManager] = None):
@@ -181,8 +179,9 @@ class ServiceApp:
             cache_dir=self.config.cache_dir,
             enabled=not self.config.no_cache,
         )
-        # Exhibits built or loaded since startup, by (exhibit_id, settings).
-        self.exhibits: Dict[Tuple[str, RunSettings], Exhibit] = {}
+        # One context per settings variant: its memo holds the exhibits
+        # loaded or built at those settings since startup.
+        self.contexts: Dict[RunSettings, ExperimentContext] = {}
         self.jobs = jobs if jobs is not None else JobManager(
             self.config.settings,
             cache=self.cache if self.cache.enabled else None,
@@ -196,7 +195,21 @@ class ServiceApp:
             settings=self.config.settings,
         )
         self.jobs.metrics = self.metrics
+        # A finished job's exhibit is kept by its settings' context.
+        self.jobs.on_done = lambda job, exhibit, counters: (
+            self.context(job.settings).keep_exhibit(job.exhibit_id, exhibit, counters)
+        )
         self.started_at = time.time()
+
+    def context(self, settings: RunSettings) -> ExperimentContext:
+        """The context that keeps the exhibits served at ``settings``.
+
+        A variant at non-default settings has its own context, so its
+        memo slot and disk entry never shadow the default exhibit.
+        """
+        if settings not in self.contexts:
+            self.contexts[settings] = ExperimentContext(settings, cache=self.cache)
+        return self.contexts[settings]
 
     # ------------------------------------------------------------------
     # Lifecycle (delegated by the server)
@@ -268,7 +281,7 @@ class ServiceApp:
 
     def _exhibit(self, exhibit_id: str, query: str) -> Reply:
         # Aliases (e.g. /exhibits/scaling) canonicalize before any cache
-        # or job lookup, so both spellings serve identical bytes.
+        # lookup or job, so both spellings serve identical bytes.
         exhibit_id = resolve_exhibit_id(exhibit_id)
         if exhibit_id not in EXPERIMENTS:
             return self._error(
@@ -291,7 +304,7 @@ class ServiceApp:
             choices = getattr(exc, "choices", None)
             extra = {"choices": choices} if choices else {}
             return self._error(400, exc.args[0], **extra)
-        exhibit = self._warm_exhibit(exhibit_id, settings)
+        exhibit = self.context(settings).lookup_exhibit(exhibit_id)
         if exhibit is not None:
             self.metrics.exhibit_warm_hits.inc()
             if fmt == "text":
@@ -318,28 +331,6 @@ class ServiceApp:
         reply = self._json(202, payload)
         reply.headers["Location"] = f"/jobs/{job.job_id}"
         return reply
-
-    def _warm_exhibit(self, exhibit_id: str,
-                      settings: RunSettings) -> Optional[Exhibit]:
-        """The exhibit if it can be served without simulating, else None.
-
-        A variant at non-default settings keys its own in-memory slot
-        and its own disk entry, so a mixed-tier, cpus16 or skew-tuned
-        build never shadows the default exhibit.
-        """
-        cached = self.exhibits.get((exhibit_id, settings))
-        if cached is not None:
-            return cached
-        payload = self.jobs.result_for_exhibit(exhibit_id, settings)
-        if payload is not None:
-            exhibit = Exhibit.from_dict(payload)
-        else:
-            ctx = ExperimentContext(settings, cache=self.cache)
-            exhibit = ctx.load_cached_exhibit(exhibit_id)
-            if exhibit is None:
-                return None
-        self.exhibits[(exhibit_id, settings)] = exhibit
-        return exhibit
 
     def _job(self, job_id: str) -> Reply:
         job = self.jobs.get(job_id)

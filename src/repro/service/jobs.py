@@ -7,13 +7,15 @@ worker tasks that push the actual build into a
 :class:`~concurrent.futures.ProcessPoolExecutor` (simulations are
 CPU-bound; threads would serialize on the GIL). The build is the one
 ``repro-experiments run`` uses,
-:func:`repro.experiments.parallel.build_exhibit`: a fresh context per
-job over the shared persistent :class:`~repro.sim.runcache.RunCache`,
-so a job's result is written to the content-addressed store and every
-later request for the same exhibit is cache-warm, and the cache's
-advisory claim lock keeps two workers from simulating the same key
-twice. The run-cache counters a job moved come back with its exhibit
-and are added into the manager's cache, which ``/metrics`` reads.
+:meth:`~repro.experiments._base.ExperimentContext.build_exhibit`, on a
+fresh context per job (:func:`build_job`) over the shared persistent
+:class:`~repro.sim.runcache.RunCache`, so a job's result is written to
+the content-addressed store and every later request for the same
+exhibit is cache-warm, and the cache's advisory claim lock keeps two
+workers from simulating the same key twice. A finished job's exhibit,
+with the run-cache counters its build moved, goes to the
+:attr:`JobManager.on_done` hook: the service keeps both in its context
+for the job's settings, whose cache ``/metrics`` reads.
 
 Backpressure is the queue bound itself: :meth:`JobManager.submit`
 raises :class:`QueueFull` instead of queueing unboundedly, and the HTTP
@@ -30,10 +32,9 @@ import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.experiments._base import RunSettings
-from repro.experiments.parallel import build_exhibit
+from repro.experiments._base import ExhibitBuild, ExperimentContext, RunSettings
 
 # Job lifecycle states. Terminal states keep their result/error forever
 # (the manager holds a bounded history so /jobs/<id> keeps answering
@@ -55,6 +56,12 @@ class QueueFull(RuntimeError):
     """The bounded job queue rejected a submission (backpressure)."""
 
 
+def build_job(exhibit_id: str, settings: RunSettings, cache) -> ExhibitBuild:
+    """The default runner: build one exhibit on a fresh context (a
+    top-level function, so a process pool can pickle it)."""
+    return ExperimentContext(settings, cache=cache).build_exhibit(exhibit_id)
+
+
 @dataclass
 class Job:
     """One queued exhibit build and its lifecycle."""
@@ -63,8 +70,8 @@ class Job:
     exhibit_id: str
     # The settings this build runs at: the service's configured settings
     # with the request's overrides applied. Jobs for the same exhibit at
-    # different settings produce different bytes, so coalescing and
-    # result lookup key on (exhibit_id, settings).
+    # different settings produce different bytes, so coalescing keys on
+    # (exhibit_id, settings), as the service's contexts do.
     settings: RunSettings
     state: str = QUEUED
     created_at: float = field(default_factory=time.time)
@@ -104,10 +111,10 @@ class JobManager:
     ``runner`` is the synchronous build function executed on the
     executor, called as ``runner(exhibit_id, settings, cache)`` and
     returning ``(exhibit, counters, verdicts)`` — injectable so tests
-    can substitute stubs; the default is
-    :func:`~repro.experiments.parallel.build_exhibit`. ``executor`` is
-    likewise injectable (tests use a thread pool; production uses
-    processes).
+    can substitute stubs; the default is :func:`build_job`. ``executor``
+    is likewise injectable (tests use a thread pool; production uses
+    processes). ``on_done``, when set, is called as ``on_done(job,
+    exhibit, counters)`` for each build that finishes.
     """
 
     def __init__(
@@ -117,7 +124,7 @@ class JobManager:
         max_workers: int = 2,
         queue_depth: int = 8,
         job_timeout_s: float = 600.0,
-        runner=build_exhibit,
+        runner=build_job,
         executor=None,
         metrics=None,
     ):
@@ -138,6 +145,7 @@ class JobManager:
         self.closing = False
         self._ids = itertools.count(1)
         self.metrics = metrics
+        self.on_done: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -225,19 +233,6 @@ class JobManager:
     def get(self, job_id: str) -> Optional[Job]:
         return self.jobs.get(job_id)
 
-    def result_for_exhibit(
-        self, exhibit_id: str, settings: Optional[RunSettings] = None,
-    ) -> Optional[dict]:
-        """The most recent completed payload for the exhibit at
-        ``settings`` (default: the manager's)."""
-        variant = (exhibit_id, settings if settings is not None else self.settings)
-        for job_id in reversed(self._finished_order):
-            job = self.jobs.get(job_id)
-            if job is not None and job.variant == variant \
-                    and job.state == DONE:
-                return job.result
-        return None
-
     def cancel(self, job_id: str) -> Optional[Job]:
         """Cancel a queued or running job; returns it, or None if unknown.
 
@@ -310,8 +305,8 @@ class JobManager:
         except Exception as exc:  # build raised in the worker process
             self._finish(job, FAILED, error=f"{type(exc).__name__}: {exc}")
         else:
-            if self.cache is not None:
-                self.cache.add_stats(counters)
+            if self.on_done is not None:
+                self.on_done(job, exhibit, counters)
             if job.state == RUNNING:  # not cancelled mid-flight
                 job.result = exhibit.to_dict()
                 self._finish(job, DONE)

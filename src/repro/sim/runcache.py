@@ -389,6 +389,10 @@ class RunCache:
             "dedup_hits": self.dedup_hits,
         }
 
+    def moved_since(self, before: Dict[str, int]) -> Dict[str, int]:
+        """The counters moved since ``before``, an earlier :meth:`stats`."""
+        return {name: count - before[name] for name, count in self.stats().items()}
+
     def add_stats(self, delta: Dict[str, int]) -> None:
         """Fold in the counters another process moved (a pool worker's
         copy of this cache), so :meth:`stats` covers its loads and stores."""

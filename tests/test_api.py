@@ -3,6 +3,7 @@ deprecation shims and the structured exhibit output that rides on them."""
 
 import importlib
 import json
+import textwrap
 
 import pytest
 
@@ -104,6 +105,16 @@ class TestStrictContextOverrides:
         assert run.check_report is not None
         held = [(run, ctx.report("pmake", check=True))]
         assert list(ctx._runs.values()) == held
+
+
+class TestQuickstart:
+    def test_package_docstring_snippet_runs(self, capsys):
+        """The quickstart in the package docstring runs as written."""
+        import repro
+
+        snippet = repro.__doc__.split("Quickstart", 1)[1].split("::\n", 1)[1]
+        exec(compile(textwrap.dedent(snippet), "<repro quickstart>", "exec"), {})
+        assert float(capsys.readouterr().out) > 0.0
 
 
 class TestDeprecationShims:

@@ -70,3 +70,27 @@ class TestChartHooks:
         from repro.experiments.registry import render_chart
 
         assert render_chart("table3", ExperimentContext()) is None
+
+    def test_row_charts_read_only_the_built_exhibit(self, monkeypatch):
+        """The charts drawn from their exhibit's rows obtain no run: on a
+        context that holds only the built exhibits they draw the same
+        text as on the context that built them."""
+        from repro.api import ExperimentContext, RunSettings
+        from repro.experiments.registry import render_chart
+
+        row_charts = (
+            "figure2", "figure6", "figure8", "figure11", "figure-scaling",
+            "figure-skew",
+        )
+        built = ExperimentContext(RunSettings(horizon_ms=2.0, warmup_ms=5.0, seed=3))
+        texts = {e: render_chart(e, built) for e in row_charts}
+        bare = ExperimentContext(built.settings)
+        for exhibit_id in row_charts:
+            bare.keep_exhibit(exhibit_id, built.exhibit(exhibit_id))
+
+        def no_run(ctx, workload, *args, **kwargs):
+            raise AssertionError(f"a chart obtained a {workload} run")
+
+        monkeypatch.setattr(ExperimentContext, "_entry", no_run)
+        monkeypatch.setattr(ExperimentContext, "private_run", no_run)
+        assert {e: render_chart(e, bare) for e in row_charts} == texts

@@ -115,10 +115,6 @@ def _cache_loaded(tmp_path):
 
 @pytest.mark.usefixtures("cache_env")
 class TestFinishedEnginesDieByRefcount:
-    """Check the engine objects themselves: a restore also leaves a small
-    closure cycle (``fidelity/checkpoint.py::_graft_images``) that holds
-    no engine object, so ``gc.collect() == 0`` would be the wrong test."""
-
     @pytest.mark.parametrize("build", [
         _detailed, _checked, _deep_checked, _mixed_cold, _mixed_restored,
         _cache_loaded,
@@ -129,6 +125,16 @@ class TestFinishedEnginesDieByRefcount:
         with collector_off():
             del run, report
             assert alive(refs) == []
+
+    def test_restore_leaves_no_cycle(self, tmp_path):
+        """Restoring a checkpoint replays the drivers on a scratch machine
+        and grafts the live Images into its workload; nothing of that
+        waits for a full collection once the restored run is dropped."""
+        gc.collect()
+        with collector_off():
+            run, report = _mixed_restored(tmp_path)
+            del run, report
+            assert gc.collect() == 0
 
 
 # ----------------------------------------------------------------------

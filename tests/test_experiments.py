@@ -254,6 +254,26 @@ def test_private_run_keeps_only_checked_runs(monkeypatch):
     assert ctx.private_runs == [(checked, None)]
 
 
+def test_failed_build_keeps_only_base_runs(monkeypatch):
+    """A build, failed or not, leaves the context holding the runs it
+    held before plus the base runs at its settings; the failed exhibit
+    is not memoized."""
+    from repro.experiments import table7
+
+    ctx = ExperimentContext(RunSettings(horizon_ms=1.0, warmup_ms=4.0, seed=3))
+
+    def failing_build(ctx):
+        ctx.report("pmake")
+        ctx.report("pmake", seed=4)
+        raise RuntimeError("derivation failed")
+
+    monkeypatch.setattr(table7, "build", failing_build)
+    with pytest.raises(RuntimeError, match="derivation failed"):
+        ctx.exhibit("table7")
+    assert set(ctx._runs) == {("pmake", ctx.settings)}
+    assert ctx.exhibit_cache == {}
+
+
 def test_only_base_module_builds_a_simulation():
     """Experiments simulate through ExperimentContext (ctx.run, or
     ctx.private_run for a variant no run key names), so each setting is
@@ -277,4 +297,37 @@ def test_only_base_module_builds_a_simulation():
                 continue
             if "Simulation" in names:
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_base_module_keeps_exhibits():
+    """One exhibit path: in the package, only ExperimentContext
+    (experiments/_base.py) reads or writes the exhibit memo
+    (``exhibit_cache``), probes or stores an exhibit entry (keyed by
+    ``RunCache.exhibit_key``) or calls an experiment module's
+    ``build(ctx)``; the CLI, the pool, the service and the charts go
+    through ``ctx.exhibit``, ``ctx.lookup_exhibit``,
+    ``ctx.build_exhibit`` and ``ctx.keep_exhibit``."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        if name == "experiments/_base.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "exhibit_cache":
+                offenders.append(f"{name}:{node.lineno} exhibit_cache")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                attr = node.func.attr
+                # A layout plan's build() takes nothing; an exhibit's
+                # takes the context.
+                if attr == "exhibit_key" or (
+                    attr == "build" and (node.args or node.keywords)
+                ):
+                    offenders.append(f"{name}:{node.lineno} {attr}()")
     assert offenders == []

@@ -332,7 +332,7 @@ class TestServiceMachineParam:
 
         app = ServiceApp(ServiceConfig(no_cache=True))
         exhibit = Exhibit("figure-scaling", "T", ("a",))
-        app.exhibits[("figure-scaling", app.config.settings)] = exhibit
+        app.context(app.config.settings).keep_exhibit("figure-scaling", exhibit)
         direct = app.handle("GET", "/exhibits/figure-scaling", "")
         alias = app.handle("GET", "/exhibits/scaling", "")
         assert direct.status == alias.status == 200

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import paperdata, parallel
+from repro.experiments import _base, paperdata, parallel
 from repro.api import ExperimentContext, RunSettings
 from repro.experiments.registry import run_experiment
 from repro.sim.runcache import RunCache
@@ -184,13 +184,13 @@ def test_checked_verdicts_match_across_jobs(monkeypatch):
     for their verdicts."""
     monkeypatch.delenv("REPRO_CHECK", raising=False)
     analyzed = []
-    analyze_trace = parallel.analyze_trace
+    analyze_trace = _base.analyze_trace
 
     def spy(run, **kwargs):
         analyzed.append(run.workload_name)
         return analyze_trace(run, **kwargs)
 
-    monkeypatch.setattr(parallel, "analyze_trace", spy)
+    monkeypatch.setattr(_base, "analyze_trace", spy)
     verdicts = {}
     for jobs in (1, 2):
         ctx = ExperimentContext(_CHECKED)
@@ -219,7 +219,7 @@ def test_cli_check_exits_2_on_injected_mismatch(monkeypatch, capsys):
     from repro.experiments import cli
 
     monkeypatch.delenv("REPRO_CHECK", raising=False)
-    analyze_trace = parallel.analyze_trace
+    analyze_trace = _base.analyze_trace
 
     def corrupted(run, **kwargs):
         report = analyze_trace(run, **kwargs)
@@ -230,7 +230,7 @@ def test_cli_check_exits_2_on_injected_mismatch(monkeypatch, capsys):
     # analyze_trace at call time) for the held base runs, and
     # check_verdicts for the private runs, which have none.
     monkeypatch.setattr("repro.analysis.report.analyze_trace", corrupted)
-    monkeypatch.setattr(parallel, "analyze_trace", corrupted)
+    monkeypatch.setattr(_base, "analyze_trace", corrupted)
     # `run all` over two exhibits, so --jobs 2 takes the pool path.
     monkeypatch.setattr(
         cli, "EXPERIMENTS", {e: None for e in _CHECKED_EXHIBITS}
@@ -307,7 +307,7 @@ class TestWorkerFailureSurfacing:
         def broken_build(exhibit_id, *args):
             raise RuntimeError("simulated worker crash")
 
-        monkeypatch.setattr(parallel, "build_exhibit", broken_build)
+        monkeypatch.setattr(ExperimentContext, "build_exhibit", broken_build)
         ctx = ExperimentContext(_SMALL)
         with pytest.raises(
             parallel.ParallelWorkerError, match="simulated worker crash"
@@ -322,7 +322,7 @@ class TestWorkerFailureSurfacing:
         def broken_build(exhibit_id, *args):
             raise ValueError("boom")
 
-        monkeypatch.setattr(parallel, "build_exhibit", broken_build)
+        monkeypatch.setattr(ExperimentContext, "build_exhibit", broken_build)
         for jobs in ("1", "2"):
             rc = cli.main([
                 "run", "table3", "--jobs", jobs,

@@ -33,8 +33,8 @@ pytestmark = pytest.mark.usefixtures("cache_env")
 # Stub runners (executed on a ThreadPoolExecutor in tests)
 # ----------------------------------------------------------------------
 def _stub_runner(exhibit_id, settings, cache_spec):
-    """Returns what the real runner, ``parallel.build_exhibit``, does:
-    the exhibit, the run-cache counters it moved and its verdicts."""
+    """Returns what the real runner, ``jobs.build_job``, does: the
+    exhibit, the run-cache counters it moved and its verdicts."""
     exhibit = Exhibit(exhibit_id, f"Stub {exhibit_id}", ("col",))
     exhibit.add_row("row", 1)
     return exhibit, {}, []
@@ -165,6 +165,12 @@ class TestJobManager:
     def test_submit_runs_to_done(self):
         async def scenario():
             jobs = _manager()
+            kept = {}
+
+            def keep(job, exhibit, counters):
+                kept[job.variant] = exhibit.to_dict()
+
+            jobs.on_done = keep
             await jobs.start()
             try:
                 job, created = jobs.submit("table1")
@@ -172,7 +178,7 @@ class TestJobManager:
                 finished = await _wait_terminal(jobs, job.job_id)
                 assert finished.state == DONE
                 assert finished.result["exhibit_id"] == "table1"
-                assert jobs.result_for_exhibit("table1") == finished.result
+                assert kept[("table1", _SHORT)] == finished.result
                 payload = finished.to_dict()
                 assert payload["location"] == "/exhibits/table1"
             finally:

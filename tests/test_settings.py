@@ -62,11 +62,9 @@ def clean_env(monkeypatch):
 
 
 def _via_api(monkeypatch, **kwargs):
-    import repro.experiments.registry as registry
-
     monkeypatch.setattr(
-        registry, "run_experiment",
-        lambda exhibit_id, ctx: _raise_settings(ctx.settings),
+        api.ExperimentContext, "exhibit",
+        lambda ctx, exhibit_id: _raise_settings(ctx.settings),
     )
     with pytest.raises(_Captured) as excinfo:
         api.exhibit("table1", cache=False, **kwargs)
@@ -75,9 +73,7 @@ def _via_api(monkeypatch, **kwargs):
 
 def _via_query(monkeypatch, query):
     app = api.ServiceApp(api.ServiceConfig(no_cache=True))
-    monkeypatch.setattr(
-        app, "_warm_exhibit", lambda exhibit_id, settings: _raise_settings(settings)
-    )
+    monkeypatch.setattr(app, "context", _raise_settings)
     with pytest.raises(_Captured) as excinfo:
         app.handle("GET", "/exhibits/table1", query)
     return excinfo.value.args[0]

@@ -163,13 +163,21 @@ class TestServicePlumbing:
 
 class TestSkewExperiment:
     @pytest.fixture(scope="class")
-    def exhibit(self):
+    def exhibit(self, tmp_path_factory):
         from repro.experiments.registry import run_experiment
 
-        ctx = ExperimentContext(RunSettings(horizon_ms=6.0, warmup_ms=60.0))
-        built = run_experiment("figure-skew", ctx)
-        # Every swept point is a distinct tuned run in the context cache.
-        assert len(ctx._runs) == len(built.rows)
+        with pytest.MonkeyPatch.context() as env:
+            env.delenv("REPRO_NO_CACHE", raising=False)
+            cache = RunCache(cache_dir=tmp_path_factory.mktemp("skew"))
+        ctx = ExperimentContext(
+            RunSettings(horizon_ms=6.0, warmup_ms=60.0), cache=cache
+        )
+        build = ctx.build_exhibit("figure-skew")
+        built = build.exhibit
+        # Every swept point is a distinct tuned run, stored once beside
+        # the exhibit; none outlives the build.
+        assert build.counters["stores"] == len(built.rows) + 1
+        assert ctx._runs == {}
         # Alias and canonical id share the context cache entry.
         assert run_experiment("skew", ctx) is built
         return built
